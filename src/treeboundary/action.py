@@ -1,10 +1,11 @@
 """Left translation on the boundary and its exact scaling tables.
 
 A group element acts on an infinite reduced word by left multiplication
-and reduction.  The action distorts the boundary measure by a locally
-constant factor: on any cylinder deeper than the acting word the factor
-is an integer power of the branching number, namely
-``branching ** (depth - image depth)``.
+and reduction.  On a cylinder over ``w`` the action of ``g`` depends
+only on the cancellation length ``c``, the number of letters of ``w``
+cancelled in ``g * w``: the image is one cylinder or the complement of
+one cylinder, and on cells deeper than ``g`` the measure is scaled by
+``branching ** (2c - len(g))``, the Busemann cocycle of the tree.
 
 Convention used throughout: the value attached to a cell C for an
 element g is measure(g.C) / measure(C), i.e. the derivative of the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
-from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere
+from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
 
 
 def act_point(g: Word, point: BoundaryPoint) -> BoundaryPoint:
@@ -35,31 +36,40 @@ def act_point(g: Word, point: BoundaryPoint) -> BoundaryPoint:
     return BoundaryPoint(moved, point.cycle)
 
 
-def act_cylinder(g: Word, cyl: Cylinder, limit: int | None = DEFAULT_CELL_LIMIT) -> CylinderUnion:
-    """The exact image of a cylinder as a disjoint union of cylinders.
+def _cancellation(g: Word, w: Word) -> int:
+    """Number of leading letters of ``w`` cancelled in the product ``g * w``."""
+    if g.presentation != w.presentation:
+        raise ValueError("words from different presentations")
+    c, inverse = 0, g.presentation.inverse_code
+    while c < min(len(g), len(w)) and g.codes[-1 - c] == inverse(w.codes[c]):
+        c += 1
+    return c
 
-    A cylinder deeper than ``g`` maps onto a single cylinder; otherwise
-    the cylinder is refined to depth ``len(g) + 1`` first, which is deep
-    enough that each refined cell maps onto one cylinder exactly.
-    """
+
+def act_cylinder(g: Word, cyl: Cylinder) -> CylinderUnion:
+    """The exact image of a cylinder over ``w``, in closed form.
+
+    If ``g`` cancels fewer than all letters of ``w``, it is the cylinder
+    over ``g * w``; otherwise, for nonempty ``w``, the complement of the
+    cylinder over ``g * w[:-1]``, at most ``(len(g * w) + 1) * (degree - 1)``
+    cylinders."""
     p = g.presentation
     if p != cyl.presentation:
         raise ValueError("element and cylinder from different presentations")
-    if cyl.depth > len(g):
-        return CylinderUnion(p, (Cylinder(g * cyl.base),))
-    target = len(g) + 1
-    count = p.degree * p.branching ** (target - 1) if cyl.depth == 0 else p.branching ** (target - cyl.depth)
-    if limit is not None and count > limit:
-        raise ResourceLimitError(f"refinement to {count} cells exceeds the bound {limit}")
-    pieces = [Cylinder(g * sub.base) for sub in cyl.descendants(target)]
-    return CylinderUnion(p, tuple(pieces))
+    w = cyl.base
+    if _cancellation(g, w) < len(w):
+        return CylinderUnion(p, (Cylinder(g * w),))
+    if not w:
+        return CylinderUnion.full(p)
+    return CylinderUnion(p, (Cylinder(g * w.prefix(len(w) - 1)),)).complement()
 
 
 def rn_exponent(g: Word, base: Word) -> int:
-    """Power of the branching number by which g scales the cell over ``base``."""
+    """Power of the branching number by which g scales the cell over ``base``:
+    the Busemann cocycle ``2c - len(g)``, with ``c`` the cancellation length."""
     if len(base) <= len(g):
         raise ValueError("cell must be deeper than the acting word")
-    return len(base) - len(g * base)
+    return 2 * _cancellation(g, base) - len(g)
 
 
 def rn_value(g: Word, cyl: Cylinder) -> Fraction:
@@ -85,12 +95,6 @@ class RNTable:
     def restrict(self, base: Word) -> tuple[tuple[Cylinder, Fraction], ...]:
         """Entries whose cell lies inside the cylinder over ``base``."""
         return tuple((cell, v) for cell, v in self.entries if cell.base.startswith(base))
-
-    def value_on(self, cyl: Cylinder) -> Fraction:
-        """The constant value on a cylinder at least as deep as the table."""
-        if cyl.depth < self.depth:
-            raise ValueError("cylinder is coarser than the table")
-        return rn_value(self.element, cyl)
 
     def to_json(self) -> list[dict]:
         rows = []

@@ -151,7 +151,7 @@ def _run(args: argparse.Namespace) -> int:
         if (args.word is None) == (args.point is None):
             raise ValueError("give exactly one of --word or --point")
         if args.word is not None:
-            image = act_cylinder(g, Cylinder(Word.parse(args.word, p)), args.max_cells)
+            image = act_cylinder(g, Cylinder(Word.parse(args.word, p)))
             _emit(image.bases(), fmt, text_lines=[", ".join(image.bases())])
         else:
             moved = act_point(g, BoundaryPoint.parse(args.point, p))

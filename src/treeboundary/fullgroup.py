@@ -260,6 +260,19 @@ def _pairwise_disjoint(cylinders: list[Cylinder]) -> bool:
     return True
 
 
+def _tiles_support(k: PiecewiseTranslation) -> bool:
+    """Whether the forward pieces plus the residual corridor tile C(x), and
+    their images plus the residual image tile C(y)."""
+    p = k.presentation
+    residual = k.residual
+    extra_dom = (residual[0],) if residual else ()
+    extra_img = (residual[1],) if residual else ()
+    fwd = k.forward_pieces()
+    cover_x = CylinderUnion(p, tuple(pc.domain for pc in fwd) + extra_dom)
+    cover_y = CylinderUnion(p, tuple(pc.image for pc in fwd) + extra_img)
+    return cover_x == CylinderUnion(p, (Cylinder(k.x),)) and cover_y == CylinderUnion(p, (Cylinder(k.y),))
+
+
 def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     """Structural verification of a swap; failures are reported, not raised.
 
@@ -290,14 +303,7 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     if k.is_identity:
         checks.append(Check("covers_support", not fwd and not bwd, "identity swap has no pieces"))
     else:
-        residual = k.residual
-        extra_dom = [residual[0]] if residual else []
-        extra_img = [residual[1]] if residual else []
-        cover_x = CylinderUnion(p, tuple(pc.domain for pc in fwd) + tuple(extra_dom))
-        cover_y = CylinderUnion(p, tuple(pc.image for pc in fwd) + tuple(extra_img))
-        ok_x = cover_x == CylinderUnion(p, (Cylinder(k.x),))
-        ok_y = cover_y == CylinderUnion(p, (Cylinder(k.y),))
-        checks.append(Check("covers_support", ok_x and ok_y))
+        checks.append(Check("covers_support", _tiles_support(k)))
 
         n = p.branching
 
@@ -337,22 +343,12 @@ def transitivity_check(p: Presentation, m: int, max_step: int = 2) -> bool:
     if m == 0:
         return True
     words = sphere(p, m)
-    full_x: dict[Word, CylinderUnion] = {}
-    for x in words:
-        full_x[x] = CylinderUnion(p, (Cylinder(x),))
     for x in words:
         for y in words:
             k = build_swap(x, y, max_step)
             if k.is_identity:
                 continue
-            residual = k.residual
-            extra_dom = (residual[0],) if residual else ()
-            extra_img = (residual[1],) if residual else ()
-            fwd = k.forward_pieces()
-            if any(pc.domain.measure != pc.image.measure for pc in fwd):
-                return False
-            cover_x = CylinderUnion(p, tuple(pc.domain for pc in fwd) + extra_dom)
-            cover_y = CylinderUnion(p, tuple(pc.image for pc in fwd) + extra_img)
-            if cover_x != full_x[x] or cover_y != full_x[y]:
+            measure_ok = all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces())
+            if not (measure_ok and _tiles_support(k)):
                 return False
     return True

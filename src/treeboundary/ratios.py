@@ -166,11 +166,10 @@ def _rn_cells(f: CylinderUnion, mover: Word, lam: Fraction) -> tuple[tuple[Cylin
 
 
 def _preimage(element: Word, union: CylinderUnion) -> CylinderUnion:
-    p = union.presentation
-    out = CylinderUnion.empty(p)
-    for cyl in union:
-        out = out | act_cylinder(~element, cyl)
-    return out
+    inverse = ~element
+    return CylinderUnion(union.presentation, tuple(
+        piece for cyl in union for piece in act_cylinder(inverse, cyl)
+    ))
 
 
 def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, CylinderUnion, CylinderUnion]:

@@ -60,12 +60,28 @@ def test_act_cylinder_examples():
     assert act_cylinder(P30.identity(), c).bases() == ["a2 a3"]
 
 
+def _full_cancellation_draw(rng, p):
+    """A pair (g, base) with g = h * ~base cancelling all of base, len(g) <= 4."""
+    base = random_reduced_word(rng, p, rng.randrange(0, 3))
+    while True:
+        h = random_reduced_word(rng, p, rng.randrange(0, 5 - len(base)))
+        if not (h and base) or h.last_code != base.last_code:
+            return h * ~base, base
+
+
 def test_act_cylinder_matches_membership_oracle():
     rng = random.Random(17)
+    rng_full = random.Random(18)
     for p in (P30, Presentation(1, 1)):
+        draws = []
         for _ in range(20):
             g = random_reduced_word(rng, p, rng.randrange(0, 3))
             base = random_reduced_word(rng, p, rng.randrange(0, 3))
+            draws.append((g, base))
+        full = [_full_cancellation_draw(rng_full, p) for _ in range(20)]
+        assert all(len(g * base) == len(g) - len(base) for g, base in full)
+        assert any(not base for _, base in full) and any(len(g) == 4 for g, _ in full)
+        for g, base in draws + full:
             depth = len(g) + len(base) + 1
             image = act_cylinder(g, Cylinder(base))
             assert union_truncations(image, depth) == image_by_membership(g, base, depth)

@@ -17,6 +17,8 @@ from treeboundary import (
     verify_swap,
 )
 
+from treeboundary.fullgroup import DEFAULT_MAX_STEP
+
 from conftest import PRESENTATIONS, random_boundary_point, random_reduced_word
 
 P30 = Presentation(3, 0)
@@ -110,6 +112,14 @@ def test_verify_swap_small_cases(presentation):
         for y in words1:
             report = verify_swap(build_swap(x, y, 4))
             assert report.ok, report.to_json()
+
+
+@pytest.mark.parametrize("p, x, y", [(P30, "a1", "a2"), (Presentation(0, 2), "b1", "b2")])
+def test_verify_swap_at_default_step_count(p, x, y):
+    k = build_swap(Word.parse(x, p), Word.parse(y, p))
+    assert k.step_count == DEFAULT_MAX_STEP
+    report = verify_swap(k)
+    assert report.ok, report.to_json()
 
 
 def test_apply_piece_example():
