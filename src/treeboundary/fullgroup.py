@@ -1,16 +1,17 @@
 """Measure-preserving involutions that swap two same-depth cylinders.
 
 ``build_swap(x, y)`` returns the automorphism of the boundary that
-exchanges the cylinders over x and y and fixes everything else.  It is
-assembled from countably many pieces, each a single left translation:
+exchanges the cylinders over x and y and fixes everything else.  With
+``a`` and ``b`` the last letters of x and y, it exchanges two corridors
+letter by letter: the x-corridor ``x b^-1 a b^-1 a ...`` and the
+y-corridor ``y a^-1 b a^-1 b ...``.
 
-* Step 1 translates by ``y * ~x`` on every child of the x-cylinder
-  except the one continuing with the inverse of y's last letter; those
-  children land on the matching children of the y-cylinder.
-* Each later step dives one level down the one uncovered child (the
-  corridor), translating its remaining children by a longer alternating
-  element; the corridor shrinks by a factor of the branching number per
-  step.
+* Step j translates every child ``C(x c[:j-1] z)`` of the x-corridor's
+  first j-1 letters ``c[:j-1]``, except the one continuing the
+  corridor, onto ``C(y d[:j-1] z)`` on the y-corridor.  The translation
+  is ``(y d[:j-1]) (x c[:j-1])^-1``, which reduces to
+  ``y (a^-1 b)^(j-1) x^-1``; the uncovered corridor shrinks by a factor
+  of the branching number per step.
 * The corridors pinch down to a single eventually periodic point, which
   is mapped explicitly to its mirror on the y-side.
 
@@ -21,14 +22,13 @@ translation.  Each piece moves its domain by one fixed group element
 and preserves its measure exactly, so the map lies in the
 measure-preserving part of the full group of the translation action.
 
-Pieces are materialized up to a step bound and extended on demand when
-a point evaluation needs a deeper one; extension is guarded by a lock
-and the resulting pieces do not depend on evaluation order.
+The piece table is built once, up to a step bound, and never changes.
+Evaluation at a point does not read it: the number of corridor letters
+the point follows after x or y names its step directly, at any depth.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +37,6 @@ from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
 from .words import Presentation, Word, sphere
 
 DEFAULT_MAX_STEP = 32
-
-# evaluating the swap at a point never needs more steps than the point's
-# deviation from the corridor; this bound only guards against misuse
-_EXTENSION_CEILING = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,9 +51,10 @@ class Piece:
 class PiecewiseTranslation:
     """Involution of the boundary swapping the cylinders over x and y.
 
-    Use :func:`build_swap` to construct one.  ``apply`` evaluates the map
-    at any eventually periodic point; pieces beyond the materialized step
-    count are generated on demand.
+    Use :func:`build_swap` to construct one.  The piece table holds
+    ``max_step`` steps of the corridor exchange (one when the swap closes,
+    none for the identity); ``apply`` evaluates the map at any eventually
+    periodic point, however deep it follows a corridor.
     """
 
     def __init__(self, x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP):
@@ -72,101 +69,76 @@ class PiecewiseTranslation:
         self.x = x
         self.y = y
         self.m = len(x)
-        self.presentation = x.presentation
-        self._steps_forward: list[tuple[Piece, ...]] = []
-        self._steps_backward: list[tuple[Piece, ...]] = []
-        # residual corridor pair (x side, y side) after each materialized step
-        self._residuals: list[tuple[Cylinder, Cylinder]] = []
-        self.closed = False
+        self.presentation = p = x.presentation
+        a, b = x.last_code, y.last_code
+        # the two letters each corridor repeats: after x, then after y
+        self._corridors = ((p.inverse_code(b), a), (p.inverse_code(a), b))
+        self.closed = a == b
         self.exceptional: dict[BoundaryPoint, BoundaryPoint] = {}
-        self._lock = threading.Lock()
-
-        if x == y:
-            self.closed = True
-        else:
-            p = self.presentation
-            self._x_last = x.last_code
-            self._y_last = y.last_code
-            if self._x_last != self._y_last:
-                corridor_in = BoundaryPoint(x, Word(p, (p.inverse_code(self._y_last), self._x_last)))
-                corridor_out = BoundaryPoint(y, Word(p, (p.inverse_code(self._x_last), self._y_last)))
-                self.exceptional = {corridor_in: corridor_out, corridor_out: corridor_in}
-            self._extend_locked(max_step)
+        if not self.closed:
+            ends = [BoundaryPoint(head, Word(p, pair)) for head, pair in zip((x, y), self._corridors)]
+            self.exceptional = {ends[0]: ends[1], ends[1]: ends[0]}
+        steps = 0 if x == y else 1 if self.closed else max_step
+        self._steps = tuple(self._pieces(j) for j in range(1, steps + 1))
 
     # -- construction -----------------------------------------------------
 
+    def _head(self, side: int, n: int) -> Word:
+        """x (side 0) or y (side 1) followed by the first n letters of its corridor."""
+        first, second = self._corridors[side]
+        letters = (first, second) * (n // 2) + (first,) * (n % 2)
+        return Word(self.presentation, (self.x, self.y)[side].codes + letters)
+
+    def _pieces(self, j: int) -> tuple[Piece, ...]:
+        dom, img = self._head(0, j - 1), self._head(1, j - 1)
+        corridor_letter = self._corridors[0][(j - 1) % 2]
+        element = self.step_element(j)
+        return tuple(
+            Piece(Cylinder(dom.append_code(z)), element, Cylinder(img.append_code(z)))
+            for z in Cylinder(dom).allowed_codes() if z != corridor_letter
+        )
+
     @property
     def step_count(self) -> int:
-        return len(self._steps_forward)
+        return len(self._steps)
 
     @property
     def is_identity(self) -> bool:
         return self.x == self.y
 
+    def _residual_at(self, j: int) -> tuple[Cylinder, Cylinder]:
+        return Cylinder(self._head(0, j)), Cylinder(self._head(1, j))
+
     @property
     def residual(self) -> tuple[Cylinder, Cylinder] | None:
-        """Current uncovered corridor (x side, y side), or None when closed."""
-        if self.closed:
-            return None
-        return self._residuals[-1]
+        """Uncovered corridor (x side, y side) after the last step, or None when closed."""
+        return None if self.closed else self._residual_at(self.step_count)
 
     def residual_history(self) -> list[tuple[Cylinder, Cylinder]]:
-        return list(self._residuals)
+        return [] if self.closed else [self._residual_at(j) for j in range(1, self.step_count + 1)]
 
     def forward_pieces(self) -> list[Piece]:
-        return [piece for step in self._steps_forward for piece in step]
+        return [piece for step in self._steps for piece in step]
 
     def backward_pieces(self) -> list[Piece]:
-        return [piece for step in self._steps_backward for piece in step]
+        """The forward pieces mirrored: each image moved back by the inverse element."""
+        return [Piece(pc.image, ~pc.element, pc.domain) for pc in self.forward_pieces()]
 
     def pieces_at_step(self, j: int) -> tuple[Piece, ...]:
-        return self._steps_forward[j - 1]
+        if not 1 <= j <= self.step_count:
+            raise ValueError(f"step {j} is outside 1..{self.step_count}")
+        return self._steps[j - 1]
 
     def step_element(self, j: int) -> Word:
-        """The translation used at step j: y (x_m^-1 y_m)^(j-1) x^-1, reduced."""
+        """The translation used at step j, at any j >= 1: ``(y d[:j-1]) (x c[:j-1])^-1``
+        for the corridors c after x and d after y, i.e. ``y (x_m^-1 y_m)^(j-1) x^-1``;
+        a closed swap has no corridor and uses ``y x^-1`` at every step."""
         if self.is_identity:
             raise ValueError("the identity swap has no steps")
-        p = self.presentation
-        mid = Word(p, (p.inverse_code(self._x_last),)) * Word(p, (self._y_last,))
-        return self.y * mid ** (j - 1) * ~self.x
-
-    def _extend_locked(self, target_step: int) -> None:
-        p = self.presentation
-        while not self.closed and self.step_count < target_step:
-            j = self.step_count + 1
-            if j == 1:
-                parent_dom, parent_img = Cylinder(self.x), Cylinder(self.y)
-            else:
-                parent_dom, parent_img = self._residuals[-1]
-            element = self.step_element(j)
-            if self._x_last == self._y_last:
-                skip_dom = None
-            elif j % 2 == 1:
-                skip_dom = p.inverse_code(self._y_last)
-            else:
-                skip_dom = self._x_last
-            pieces = []
-            for z in parent_dom.allowed_codes():
-                if z == skip_dom:
-                    continue
-                domain = Cylinder(parent_dom.base.append_code(z))
-                pieces.append(Piece(domain, element, Cylinder(element * domain.base)))
-            self._steps_forward.append(tuple(pieces))
-            self._steps_backward.append(tuple(
-                Piece(piece.image, ~piece.element, piece.domain) for piece in pieces
-            ))
-            if skip_dom is None:
-                self.closed = True
-            else:
-                skip_img = p.inverse_code(self._x_last) if j % 2 == 1 else self._y_last
-                self._residuals.append((
-                    Cylinder(parent_dom.base.append_code(skip_dom)),
-                    Cylinder(parent_img.base.append_code(skip_img)),
-                ))
-
-    def extend_to(self, target_step: int) -> None:
-        with self._lock:
-            self._extend_locked(target_step)
+        if j < 1:
+            raise ValueError(f"steps are numbered from 1, got {j}")
+        n = 0 if self.closed else j - 1
+        return self._head(1, n) * ~self._head(0, n)
 
     # -- evaluation --------------------------------------------------------
 
@@ -182,20 +154,14 @@ class PiecewiseTranslation:
         mapped = self.exceptional.get(point)
         if mapped is not None:
             return mapped
-        steps = self._steps_forward if head == self.x else self._steps_backward
+        side = 0 if head == self.x else 1
+        corridor = self._corridors[side]
+        # only the exceptional point follows its corridor forever
         j = 0
-        while True:
-            if j == len(steps):
-                if self.closed:
-                    raise AssertionError("closed swap failed to cover a point in its support")
-                if j >= _EXTENSION_CEILING:
-                    raise RuntimeError("step extension ceiling reached")
-                self.extend_to(j + 1)
-            for piece in steps[j]:
-                base = piece.domain.base
-                if all(point.letter_code_at(i) == c for i, c in enumerate(base.codes)):
-                    return act_point(piece.element, point)
+        while point.letter_code_at(self.m + j) == corridor[j % 2]:
             j += 1
+        element = self.step_element(j + 1)
+        return act_point(element if side == 0 else ~element, point)
 
     # -- reporting ---------------------------------------------------------
 

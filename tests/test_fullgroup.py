@@ -17,6 +17,7 @@ from treeboundary import (
     verify_swap,
 )
 
+from treeboundary.cylinders import periodic_extension
 from treeboundary.fullgroup import DEFAULT_MAX_STEP
 
 from conftest import PRESENTATIONS, random_boundary_point, random_reduced_word
@@ -146,15 +147,62 @@ def test_apply_is_involution_on_random_points():
             assert k.apply(k.apply(om)) == om
 
 
-def test_apply_extends_on_demand():
+def test_apply_beyond_the_built_steps():
     k = build_swap(w("a1"), w("a2"), 2)
     assert k.step_count == 2
-    # a point that follows the corridor for eight letters, then leaves it
+    # a point that follows the corridor for seven letters, then leaves it
     om = BoundaryPoint(w("a1 a2 a1 a2 a1 a2 a1 a2 a3"), w("a1 a2"))
     out = k.apply(om)
-    assert k.step_count >= 8
     assert out == act_point(k.step_element(8), om)
     assert k.apply(out) == om
+    # the corridor's 200th letter, far past the table, costs no extra steps
+    deep = BoundaryPoint(Word.parse("a1 " + "a2 a1 " * 100 + "a3", P30), w("a1 a2"))
+    out = k.apply(deep)
+    assert out == act_point(k.step_element(201), deep)
+    assert k.apply(out) == deep
+    assert k.step_count == 2
+
+
+def test_apply_agrees_with_the_piece_table():
+    rng = random.Random(41)
+    steps = 5
+    for p in PRESENTATIONS:
+        words, pairs = sphere(p, 2), sphere(p, 1)
+        closing = next(v for v in words[1:] if v.last_code == words[0].last_code)
+        for x, y in ((pairs[0], pairs[-1]), (pairs[0], pairs[1]), (words[0], closing)):
+            k = build_swap(x, y, steps)
+            assert verify_swap(k).ok
+            points = [random_boundary_point(rng, p) for _ in range(60)]
+            points += [periodic_extension(x), periodic_extension(y)]
+            # points that follow either corridor for 0..steps-1 letters, then leave it
+            history = k.residual_history()
+            for side, head in enumerate((x, y)):
+                for d in range(len(history)):
+                    base = head if d == 0 else history[d - 1][side].base
+                    corridor_next = history[d][side].base.last_code
+                    for z in Cylinder(base).allowed_codes():
+                        if z != corridor_next:
+                            points.append(periodic_extension(base.append_code(z)))
+            pieces = k.forward_pieces() + k.backward_pieces()
+            matched = 0
+            for pt in points:
+                for piece in pieces:
+                    if pt.truncate(piece.domain.depth) == piece.domain.base:
+                        assert k.apply(pt) == act_point(piece.element, pt), (str(x), str(y), str(pt))
+                        matched += 1
+            assert matched >= 2 * k.step_count
+
+
+def test_step_numbers_start_at_one():
+    k = build_swap(w("a1"), w("a2"), 3)
+    for j in (0, -1, 4):
+        with pytest.raises(ValueError):
+            k.pieces_at_step(j)
+    for j in (0, -1):
+        with pytest.raises(ValueError):
+            k.step_element(j)
+    assert k.step_element(4) == w("a2 a1 a2 a1 a2 a1 a2 a1")
+    assert len(k.pieces_at_step(3)) == 1
 
 
 def test_exceptional_point_lies_in_every_residual():
@@ -220,9 +268,9 @@ def test_pushforward_exactness_invariant():
 
 def test_verify_reports_tampering_instead_of_raising():
     k = build_swap(w("a1"), w("a2"), 3)
-    # drop a piece: coverage must fail but verification still returns a report
-    k._steps_forward[0] = ()
-    k._steps_backward[0] = ()
+    # drop the first step's pieces: coverage must fail but verification still returns a report
+    kept = [pc for j in (2, 3) for pc in k.pieces_at_step(j)]
+    k.forward_pieces = lambda: kept
     report = verify_swap(k)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
