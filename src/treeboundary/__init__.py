@@ -22,7 +22,6 @@ from .cylinders import (
     BoundaryPoint,
     Cylinder,
     CylinderUnion,
-    locate,
     periodic_extension,
 )
 from .fullgroup import (
@@ -82,7 +81,6 @@ __all__ = [
     "find_witness",
     "fixed_points",
     "frequency_sigma",
-    "locate",
     "periodic_extension",
     "power_exponent",
     "realized_rn_values",

@@ -11,17 +11,21 @@ no floating point enters any computation here.
 Finite unions of cylinders form the computable set algebra used by the
 rest of the package.  A union is kept in canonical form: no base word is
 a prefix of another, complete sibling families are merged into their
-parent, and the bases are sorted shortlex.  Intersections and
-differences are computed by refining to a common depth, so every
-operation stays exact.
+parent, and the bases are sorted shortlex.  Canonical bases are the
+maximal cylinders inside the union, so a cylinder lies in the union
+exactly when some base is a prefix of its base word.  In lexicographic
+order a word sorts directly before every word below it, so that question
+is one binary search: only the nearest base at or before the word can
+be its prefix.  Intersection, containment and membership are built from
+this lookup, and the complement from the set of prefixes of the bases.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .words import Presentation, Word
 
@@ -49,11 +53,7 @@ class Cylinder:
 
     def allowed_codes(self) -> list[int]:
         """Letter codes that extend the base to a reduced word."""
-        p = self.presentation
-        if self.depth == 0:
-            return list(range(p.degree))
-        forbidden = p.inverse_code(self.base.last_code)
-        return [z for z in range(p.degree) if z != forbidden]
+        return _allowed_codes(self.presentation, self.base.codes)
 
     def children(self) -> tuple["Cylinder", ...]:
         return tuple(Cylinder(self.base.append_code(z)) for z in self.allowed_codes())
@@ -67,43 +67,20 @@ class Cylinder:
             level = [child for cyl in level for child in cyl.children()]
         return level
 
-    def contains(self, other: "Cylinder") -> bool:
-        return other.base.startswith(self.base)
-
-    def overlaps(self, other: "Cylinder") -> bool:
-        return self.contains(other) or other.contains(self)
-
     def __str__(self) -> str:
         return str(self.base)
 
 
-def _sort_key(base: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (len(base), base)
+def _allowed_codes(p: Presentation, codes: tuple[int, ...]) -> list[int]:
+    if not codes:
+        return list(range(p.degree))
+    forbidden = p.inverse_code(codes[-1])
+    return [z for z in range(p.degree) if z != forbidden]
 
 
-def _normalize_bases(p: Presentation, bases: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    pool = set(bases)
-    # drop anything below another base
-    pool = {b for b in pool if not any(b[:i] in pool for i in range(len(b)))}
-    if not pool:
-        return ()
-    # merge complete sibling families, deepest level first
-    by_len: dict[int, set[tuple[int, ...]]] = {}
-    for b in pool:
-        by_len.setdefault(len(b), set()).add(b)
-    for length in range(max(by_len), 0, -1):
-        level = by_len.get(length, set())
-        for parent in {b[:-1] for b in level}:
-            if parent:
-                forbidden = p.inverse_code(parent[-1])
-                family = [parent + (z,) for z in range(p.degree) if z != forbidden]
-            else:
-                family = [(z,) for z in range(p.degree)]
-            if all(child in level for child in family):
-                level.difference_update(family)
-                by_len.setdefault(length - 1, set()).add(parent)
-    merged = [b for level in by_len.values() for b in level]
-    return tuple(sorted(merged, key=_sort_key))
+def _children(p: Presentation, codes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Bases of the child cylinders, in lexicographic order."""
+    return [codes + (z,) for z in _allowed_codes(p, codes)]
 
 
 @dataclass(frozen=True)
@@ -112,14 +89,40 @@ class CylinderUnion:
 
     presentation: Presentation
     cylinders: tuple[Cylinder, ...]
+    # the canonical bases again, in lexicographic order
+    _lex: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        p = self.presentation
+        given: dict[tuple[int, ...], Cylinder] = {}
         for cyl in self.cylinders:
-            if cyl.presentation != self.presentation:
+            if cyl.presentation != p:
                 raise ValueError("cylinder from a different presentation")
-        bases = _normalize_bases(self.presentation, (cyl.base.codes for cyl in self.cylinders))
-        canonical = tuple(Cylinder(Word(self.presentation, b)) for b in bases)
+            given[cyl.base.codes] = cyl
+        # in lexicographic order a base sorts directly before the bases below
+        # it, so only the last kept base can lie above the next one, and a
+        # complete sibling family can only sit at the top of the stack
+        kept: list[tuple[int, ...]] = []
+        for base in sorted(given):
+            if kept and base[: len(kept[-1])] == kept[-1]:
+                continue
+            kept.append(base)
+            while kept[-1]:
+                parent = kept[-1][:-1]
+                family = _children(p, parent)
+                if kept[-len(family):] != family:
+                    break
+                kept[-len(family):] = [parent]
+        # a stable sort by length turns lexicographic order into shortlex
+        canonical = tuple(given[b] if b in given else Cylinder(Word(p, b)) for b in sorted(kept, key=len))
         object.__setattr__(self, "cylinders", canonical)
+        object.__setattr__(self, "_lex", tuple(kept))
+
+    def _covers(self, codes: tuple[int, ...]) -> bool:
+        """Whether some base is a prefix of ``codes``: only the last base
+        at or before it in lexicographic order can be."""
+        i = bisect_right(self._lex, codes)
+        return i > 0 and codes[: len(self._lex[i - 1])] == self._lex[i - 1]
 
     @classmethod
     def empty(cls, p: Presentation) -> "CylinderUnion":
@@ -128,10 +131,6 @@ class CylinderUnion:
     @classmethod
     def full(cls, p: Presentation) -> "CylinderUnion":
         return cls(p, (Cylinder(p.identity()),))
-
-    @classmethod
-    def of_words(cls, p: Presentation, words: Iterable[Word]) -> "CylinderUnion":
-        return cls(p, tuple(Cylinder(w) for w in words))
 
     @property
     def is_empty(self) -> bool:
@@ -150,64 +149,54 @@ class CylinderUnion:
 
     def __and__(self, other: "CylinderUnion") -> "CylinderUnion":
         self._check(other)
-        met = []
-        for a, b in itertools.product(self.cylinders, other.cylinders):
-            if a.contains(b):
-                met.append(b)
-            elif b.contains(a):
-                met.append(a)
-        return CylinderUnion(self.presentation, tuple(met))
+        mine = tuple(cyl for cyl in self.cylinders if other._covers(cyl.base.codes))
+        theirs = tuple(cyl for cyl in other.cylinders if self._covers(cyl.base.codes))
+        return CylinderUnion(self.presentation, mine + theirs)
 
     def __sub__(self, other: "CylinderUnion") -> "CylinderUnion":
         self._check(other)
-        out: list[Cylinder] = []
-        for cyl in self.cylinders:
-            out.extend(_cylinder_minus(cyl, other.cylinders))
-        return CylinderUnion(self.presentation, tuple(out))
+        return self & other.complement()
 
     def contains(self, other: "CylinderUnion | Cylinder") -> bool:
-        if isinstance(other, Cylinder):
-            other = CylinderUnion(self.presentation, (other,))
-        return (other - self).is_empty
+        self._check(other)
+        cylinders = (other,) if isinstance(other, Cylinder) else other.cylinders
+        return all(self._covers(cyl.base.codes) for cyl in cylinders)
 
     def complement(self) -> "CylinderUnion":
-        return CylinderUnion.full(self.presentation) - self
+        """Every child of a proper prefix of a base that is not itself a prefix."""
+        p = self.presentation
+        if not self._lex:
+            return CylinderUnion.full(p)
+        inner = {b[:i] for b in self._lex for i in range(len(b))}
+        prefixes = inner.union(self._lex)
+        outside = [child for q in inner for child in _children(p, q) if child not in prefixes]
+        return CylinderUnion(p, tuple(Cylinder(Word(p, b)) for b in outside))
 
     def covers_word(self, word: Word) -> bool:
         """Whether every boundary word with this finite prefix lies inside.
 
         Only valid when the union's bases are no deeper than the word.
         """
-        for cyl in self.cylinders:
-            if cyl.depth > len(word):
-                raise ValueError("union is finer than the given truncation depth")
-        return any(word.startswith(cyl.base) for cyl in self.cylinders)
+        self._check(word)
+        if self.cylinders and self.cylinders[-1].depth > len(word):
+            raise ValueError("union is finer than the given truncation depth")
+        return self._covers(word.codes)
 
     def bases(self) -> list[str]:
         return [str(cyl.base) for cyl in self.cylinders]
 
     @classmethod
     def parse(cls, p: Presentation, bases: Sequence[str]) -> "CylinderUnion":
+        if not isinstance(bases, (list, tuple)) or not all(isinstance(b, str) for b in bases):
+            raise ValueError("a union is a JSON array of base words")
         return cls(p, tuple(Cylinder(Word.parse(b, p)) for b in bases))
 
-    def _check(self, other: "CylinderUnion") -> None:
+    def _check(self, other: "CylinderUnion | Cylinder | Word") -> None:
         if self.presentation != other.presentation:
             raise ValueError("unions from different presentations")
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.bases()) + "}"
-
-
-def _cylinder_minus(cyl: Cylinder, holes: Sequence[Cylinder]) -> list[Cylinder]:
-    relevant = [h for h in holes if h.overlaps(cyl)]
-    if not relevant:
-        return [cyl]
-    if any(h.contains(cyl) for h in relevant):
-        return []
-    out: list[Cylinder] = []
-    for child in cyl.children():
-        out.extend(_cylinder_minus(child, relevant))
-    return out
 
 
 @dataclass(frozen=True)
@@ -263,6 +252,7 @@ class BoundaryPoint:
         return Word(self.presentation, tuple(self.letter_code_at(i) for i in range(m)))
 
     def cylinder_at(self, m: int) -> Cylinder:
+        """The unique depth-``m`` cylinder containing the point."""
         if m < 1:
             raise ValueError("depth must be at least 1")
         return Cylinder(self.truncate(m))
@@ -276,11 +266,6 @@ class BoundaryPoint:
             raise ValueError("boundary point must look like 'prefix | cycle'")
         pre, cyc = text.split("|", 1)
         return cls(Word.parse(pre, p), Word.parse(cyc, p))
-
-
-def locate(point: BoundaryPoint, depth: int) -> Cylinder:
-    """The unique depth-``depth`` cylinder containing the point."""
-    return point.cylinder_at(depth)
 
 
 def periodic_extension(word: Word) -> BoundaryPoint:

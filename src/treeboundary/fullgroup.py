@@ -22,15 +22,17 @@ translation.  Each piece moves its domain by one fixed group element
 and preserves its measure exactly, so the map lies in the
 measure-preserving part of the full group of the translation action.
 
-The piece table is built once, up to a step bound, and never changes.
-Evaluation at a point does not read it: the number of corridor letters
-the point follows after x or y names its step directly, at any depth.
+The piece table is built on first read, up to a step bound, and never
+changes.  Evaluation at a point does not read it: the number of corridor
+letters the point follows after x or y names its step directly, at any
+depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .action import act_cylinder, act_point
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
@@ -51,10 +53,11 @@ class Piece:
 class PiecewiseTranslation:
     """Involution of the boundary swapping the cylinders over x and y.
 
-    Use :func:`build_swap` to construct one.  The piece table holds
-    ``max_step`` steps of the corridor exchange (one when the swap closes,
-    none for the identity); ``apply`` evaluates the map at any eventually
-    periodic point, however deep it follows a corridor.
+    Use :func:`build_swap` to construct one.  The piece table, built on
+    first read, holds ``max_step`` steps of the corridor exchange (one when
+    the swap closes, none for the identity); ``apply`` evaluates the map at
+    any eventually periodic point, however deep it follows a corridor, and
+    never reads the table.
     """
 
     def __init__(self, x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP):
@@ -78,10 +81,14 @@ class PiecewiseTranslation:
         if not self.closed:
             ends = [BoundaryPoint(head, Word(p, pair)) for head, pair in zip((x, y), self._corridors)]
             self.exceptional = {ends[0]: ends[1], ends[1]: ends[0]}
-        steps = 0 if x == y else 1 if self.closed else max_step
-        self._steps = tuple(self._pieces(j) for j in range(1, steps + 1))
+        self._max_step = max_step
 
     # -- construction -----------------------------------------------------
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[Piece, ...], ...]:
+        steps = 0 if self.is_identity else 1 if self.closed else self._max_step
+        return tuple(self._pieces(j) for j in range(1, steps + 1))
 
     def _head(self, side: int, n: int) -> Word:
         """x (side 0) or y (side 1) followed by the first n letters of its corridor."""

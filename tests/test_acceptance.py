@@ -25,7 +25,6 @@ from treeboundary import (
     find_witness,
     fixed_points,
     frequency_sigma,
-    locate,
     power_exponent,
     realized_rn_values,
     rn_table,
@@ -179,8 +178,8 @@ def test_criterion_7_freeness():
             ok &= len(pts) <= 2
             ok &= all(act_point(g, q) == q for q in pts)
             if pts:
-                cover5 = sum(locate(q, 5).measure for q in pts)
-                cover10 = sum(locate(q, 10).measure for q in pts)
+                cover5 = sum(q.cylinder_at(5).measure for q in pts)
+                cover10 = sum(q.cylinder_at(10).measure for q in pts)
                 ok &= cover10 == cover5 * Fraction(1, p.branching) ** 5
             checked += 1
     ok &= checked == 50

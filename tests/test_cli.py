@@ -93,6 +93,15 @@ def test_kmap_build_verify_apply(capsys):
     assert out == "e | a2 a3\n"
 
 
+def test_kmap_apply_does_not_build_the_piece_table(capsys):
+    argv = ["kmap", "apply", "--s", "3", "--t", "0", "--x", "a1", "--y", "a2", "--point", "a1 a2 a1 a3 | a2 a1"]
+    code, small, _ = run(capsys, *argv, "--max-step", "4")
+    assert code == 0
+    code, large, _ = run(capsys, *argv, "--max-step", "20000")
+    assert code == 0
+    assert large == small
+
+
 def test_ergodic_check(capsys):
     code, out, _ = run(capsys, "ergodic", "check", "--s", "1", "--t", "1", "--m", "2", "--format", "json")
     assert code == 0
@@ -119,6 +128,18 @@ def test_ratio_witness_rejects_non_power(capsys):
     code, _, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "3")
     assert code == 2
     assert "power" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--s", "3", "--t", "0", "--union"],
+    ["ratio", "witness", "--s", "3", "--t", "0", "--lambda", "2", "--E"],
+], ids=["measure", "witness"])
+@pytest.mark.parametrize("union", ["[1]", "null", "5", '[["a1"]]', '"a1"'])
+def test_malformed_union_exits_2(capsys, argv, union):
+    code, out, err = run(capsys, *argv, union)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: a union is a JSON array of base words\n"
 
 
 def test_classify(capsys):

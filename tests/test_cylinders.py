@@ -9,12 +9,17 @@ from treeboundary import (
     CylinderUnion,
     Presentation,
     Word,
-    locate,
     periodic_extension,
     sphere,
 )
 
-from conftest import random_union, truncation_measure, union_truncations
+from conftest import (
+    brute_force_sphere,
+    random_reduced_word,
+    random_union,
+    truncation_measure,
+    union_truncations,
+)
 
 P30 = Presentation(3, 0)
 P11 = Presentation(1, 1)
@@ -73,17 +78,46 @@ def test_union_measure_matches_inclusion_exclusion_oracle():
             assert u.measure == truncation_measure(u, 4)
 
 
-def test_set_operations_match_truncation_oracle():
+def test_canonical_form_is_maximal(presentation):
+    rng = random.Random(13)
+    p = presentation
+    for _ in range(40):
+        u = random_union(rng, p, max_depth=3, max_parts=12)
+        codes = [cyl.base.codes for cyl in u]
+        assert codes == sorted(codes, key=lambda b: (len(b), b))
+        assert not any(a != b and b[: len(a)] == a for a in codes for b in codes)
+        inside = union_truncations(u, 4)
+        for c in codes:
+            if c:
+                parent = CylinderUnion(p, (Cylinder(Word(p, c[:-1])),))
+                assert not union_truncations(parent, 4) <= inside
+        assert CylinderUnion(p, u.cylinders) == u
+
+
+def test_set_operations_match_truncation_oracle(presentation):
     rng = random.Random(9)
-    for p in (P30, P11):
-        for _ in range(25):
-            a = random_union(rng, p, max_depth=3, max_parts=3)
-            b = random_union(rng, p, max_depth=3, max_parts=3)
-            ta, tb = union_truncations(a, 4), union_truncations(b, 4)
-            assert union_truncations(a | b, 4) == ta | tb
-            assert union_truncations(a & b, 4) == ta & tb
-            assert union_truncations(a - b, 4) == ta - tb
-            assert a.contains(b) == (tb <= ta)
+    p = presentation
+    everything = set(brute_force_sphere(p, 4))
+    empty, full = CylinderUnion.empty(p), CylinderUnion.full(p)
+    drawn = [random_union(rng, p, max_depth=3, max_parts=8) for _ in range(50)]
+    pairs = list(zip(drawn[::2], drawn[1::2]))
+    pairs += [(a, b) for a in (empty, full, drawn[0]) for b in (empty, full, drawn[1])]
+    for a, b in pairs:
+        ta, tb = union_truncations(a, 4), union_truncations(b, 4)
+        assert union_truncations(a | b, 4) == ta | tb
+        assert union_truncations(a & b, 4) == ta & tb
+        assert union_truncations(a - b, 4) == ta - tb
+        assert union_truncations(a.complement(), 4) == everything - ta
+        assert {codes for codes in everything if a.covers_word(Word(p, codes))} == ta
+        assert a.contains(b) == (tb <= ta)
+        c = Cylinder(random_reduced_word(rng, p, rng.randrange(0, 4)))
+        tc = {codes for codes in everything if codes[: c.depth] == c.base.codes}
+        assert a.contains(c) == (tc <= ta)
+
+
+def test_covers_word_rejects_a_word_of_another_presentation():
+    with pytest.raises(ValueError):
+        CylinderUnion.full(P30).covers_word(Word.parse("a1", P11))
 
 
 def test_complement():
@@ -127,19 +161,19 @@ def test_boundary_point_equality_is_semantic():
     assert a.truncate(5) == b.truncate(5)
 
 
-def test_locate_examples():
+def test_cylinder_at_examples():
     om = BoundaryPoint(P30.identity(), Word.parse("a1 a2", P30))
-    assert str(locate(om, 3).base) == "a1 a2 a1"
+    assert str(om.cylinder_at(3).base) == "a1 a2 a1"
     om2 = BoundaryPoint(Word.parse("a3", P30), Word.parse("a1 a2", P30))
-    assert str(locate(om2, 1).base) == "a3"
+    assert str(om2.cylinder_at(1).base) == "a3"
     with pytest.raises(ValueError):
-        locate(om, 0)
+        om.cylinder_at(0)
 
 
-def test_locate_nesting():
+def test_cylinder_at_nesting():
     om = BoundaryPoint(Word.parse("a3", P30), Word.parse("a1 a2", P30))
     for m in range(1, 8):
-        assert locate(om, m + 1).base.startswith(locate(om, m).base)
+        assert om.cylinder_at(m + 1).base.startswith(om.cylinder_at(m).base)
 
 
 def test_periodic_extension():

@@ -12,7 +12,6 @@ from treeboundary import (
     chi_square,
     empirical_rn,
     frequency_sigma,
-    locate,
     periodic_extension,
     rn_table,
     sample,
@@ -84,7 +83,7 @@ def test_pushforward_through_swap_moves_mass_exactly():
     k = build_swap(Word.parse("a1", p), Word.parse("a2", p), 4)
     pushed: dict[Word, int] = {}
     for w, c in batch.counts.items():
-        moved = locate(k.apply(periodic_extension(w)), 6).base
+        moved = k.apply(periodic_extension(w)).cylinder_at(6).base
         pushed[moved] = pushed.get(moved, 0) + c
 
     def mass(counts, letter):
