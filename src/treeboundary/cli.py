@@ -198,7 +198,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "sample":
-        batch = sample(p, args.depth, args.n_samples, args.seed)
+        batch = sample(p, args.depth, args.n_samples, args.seed, args.max_cells)
         if fmt == "csv":
             batch.write_csv(sys.stdout)
         else:

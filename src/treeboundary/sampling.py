@@ -14,23 +14,20 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import accumulate
 from typing import IO, Mapping
 
 import numpy as np
 
 from .action import act_cylinder
 from .cylinders import Cylinder, CylinderUnion
-from .words import Presentation, Word, sphere
+from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere
 
 BLOCK = 1 << 16
-
-# 0.999 quantiles of the chi-square distribution by degrees of freedom
-CHI2_Q999 = {
-    1: 10.8276, 2: 13.8155, 3: 16.2662, 4: 18.4668, 5: 20.5150, 6: 22.4577,
-    7: 24.3219, 8: 26.1245, 9: 27.8772, 10: 29.5883, 11: 31.2641, 12: 32.9095,
-}
 
 
 @dataclass(frozen=True)
@@ -43,21 +40,39 @@ class SampleBatch:
     seed: int
     counts: Mapping[Word, int]
 
+    @cached_property
+    def _lex(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The distinct code rows in lexicographic order, and the running
+        totals of their counts (``cumulative[i]`` counts the rows before i)."""
+        rows = sorted((w.codes, c) for w, c in self.counts.items())
+        return [r for r, _ in rows], list(accumulate((c for _, c in rows), initial=0))
+
     def frequency(self, region: CylinderUnion | Cylinder) -> Fraction:
         if isinstance(region, Cylinder):
             region = CylinderUnion(self.presentation, (region,))
-        hits = sum(c for w, c in self.counts.items() if region.covers_word(w))
+        if region.presentation != self.presentation:
+            raise ValueError("unions from different presentations")
+        if region.cylinders and region.cylinders[-1].depth > self.depth:
+            raise ValueError("union is finer than the given truncation depth")
+        # the rows below a base b form the range [b, b + (degree,)) in
+        # lexicographic order, and canonical bases are disjoint
+        rows, cumulative = self._lex
+        end = (self.presentation.degree,)
+        hits = 0
+        for cyl in region.cylinders:
+            b = cyl.base.codes
+            hits += cumulative[bisect_left(rows, b + end)] - cumulative[bisect_left(rows, b)]
         return Fraction(hits, self.count)
 
     def cell_counts(self, m: int) -> dict[Word, int]:
         """Counts aggregated over the depth-m prefix (m <= batch depth)."""
         if m > self.depth:
             raise ValueError("aggregation depth exceeds batch depth")
-        out: dict[Word, int] = {}
+        cells: dict[tuple[int, ...], int] = {}
         for w, c in self.counts.items():
-            key = w.prefix(m)
-            out[key] = out.get(key, 0) + c
-        return out
+            key = w.codes[:m]
+            cells[key] = cells.get(key, 0) + c
+        return {Word(self.presentation, key): c for key, c in cells.items()}
 
     def write_csv(self, fp: IO[str]) -> None:
         for w in sorted(self.counts, key=lambda w: (len(w), w.codes)):
@@ -80,42 +95,53 @@ class SampleBatch:
         }
 
 
-def _successor_table(p: Presentation) -> np.ndarray:
-    rows = []
-    for u in range(p.degree):
-        rows.append([v for v in range(p.degree) if v != p.inverse_code(u)])
-    return np.asarray(rows, dtype=np.int64)
+def _successor_table(p: Presentation, dtype: np.dtype) -> np.ndarray:
+    inverse = p.inverse_codes
+    rows = [[v for v in range(p.degree) if v != inverse[u]] for u in range(p.degree)]
+    return np.asarray(rows, dtype=dtype)
 
 
-def sample(p: Presentation, depth: int, count: int, seed: int) -> SampleBatch:
-    """Draw ``count`` independent depth-``depth`` truncations under the measure."""
+def sample(p: Presentation, depth: int, count: int, seed: int,
+           limit: int | None = DEFAULT_CELL_LIMIT) -> SampleBatch:
+    """Draw ``count`` independent depth-``depth`` truncations under the measure.
+
+    ``limit`` bounds the letters drawn, ``count * depth``; a larger batch
+    raises ``ResourceLimitError`` before anything is drawn.  ``counts``
+    lists the distinct words of each block in lexicographic order, the
+    blocks one after the other, each word where it first appears.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    succ = _successor_table(p)
+    if limit is not None and count * depth > limit:
+        raise ResourceLimitError(
+            f"{count} draws of depth {depth} ({count * depth} letters) exceed the bound {limit}")
     degree, n = p.degree, p.branching
+    # big-endian letters, so that the bytes of a row sort like its codes
+    dtype = np.min_scalar_type(degree - 1).newbyteorder(">")
+    row = np.dtype((np.void, depth * dtype.itemsize))
+    succ = _successor_table(p, dtype)
     totals: dict[tuple[int, ...], int] = {}
     for block_index in range(0, (count + BLOCK - 1) // BLOCK):
         lo = block_index * BLOCK
         size = min(BLOCK, count - lo)
         key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(block_index)])
         rng = np.random.Generator(np.random.Philox(key=key))
-        codes = np.empty((size, depth), dtype=np.int64)
+        codes = np.empty((size, depth), dtype=dtype)
         codes[:, 0] = rng.integers(0, degree, size=size)
         for col in range(1, depth):
             draws = rng.integers(0, n, size=size)
             codes[:, col] = succ[codes[:, col - 1], draws]
-        ids = np.zeros(size, dtype=np.int64)
-        for col in range(depth):
-            ids = ids * degree + codes[:, col]
-        uniq, cnt = np.unique(ids, return_counts=True)
-        for wid, c in zip(uniq.tolist(), cnt.tolist()):
-            letters = []
-            for _ in range(depth):
-                wid, r = divmod(wid, degree)
-                letters.append(r)
-            key_t = tuple(reversed(letters))
+        # one opaque value per row: np.unique(codes, axis=0) gives the same
+        # rows but compares them field by field, about ten times slower
+        rows, cnt = np.unique(codes.view(row).ravel(), return_counts=True)
+        if dtype.itemsize == 1:
+            flat = rows.tobytes()
+            keys = [tuple(flat[i:i + depth]) for i in range(0, len(flat), depth)]
+        else:
+            keys = map(tuple, rows.view(dtype).reshape(-1, depth).tolist())
+        for key_t, c in zip(keys, cnt.tolist()):
             totals[key_t] = totals.get(key_t, 0) + c
     words = {Word(p, codes_t): c for codes_t, c in totals.items()}
     return SampleBatch(p, depth, count, seed, words)
@@ -182,6 +208,58 @@ def frequency_sigma(exact: Fraction, count: int) -> float:
     return math.sqrt(q * (1 - q) / count)
 
 
+def _gamma_p(a: float, x: float) -> float:
+    """The regularized lower incomplete gamma function P(a, x): a power
+    series below x = a + 1, one minus a continued fraction (modified
+    Lentz) for the upper tail above it."""
+    if x <= 0:
+        return 0.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1:
+        term = total = 1 / a
+        k = a
+        while term > total * 1e-16:
+            k += 1
+            term *= x / k
+            total += term
+        return front * total
+    tiny = 1e-300
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 1_000_000):
+        an = -i * (i - a)
+        b += 2
+        d = an * d + b
+        d = 1 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1) < 1e-15:
+            break
+    return 1 - front * h
+
+
+@cache
+def chi2_q999(dof: int) -> float:
+    """The 0.999 quantile of the chi-square law with ``dof`` degrees of
+    freedom: P(dof/2, q/2) = 0.999, solved by bisection to the last bit."""
+    if dof < 1:
+        raise ValueError("the chi-square law needs at least one degree of freedom")
+    a, lo, hi = dof / 2, 0.0, float(dof)
+    while _gamma_p(a, hi / 2) < 0.999:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if _gamma_p(a, mid / 2) < 0.999:
+            lo = mid
+        else:
+            hi = mid
+
+
 def chi_square(batch: SampleBatch, m: int) -> tuple[float, int, float]:
     """Chi-square statistic of depth-m cell counts against the exact law.
 
@@ -196,6 +274,4 @@ def chi_square(batch: SampleBatch, m: int) -> tuple[float, int, float]:
         obs = observed.get(w, 0)
         stat += (obs - expected) ** 2 / expected
     dof = len(cells) - 1
-    if dof not in CHI2_Q999:
-        raise ValueError(f"no 0.999 quantile tabulated for {dof} degrees of freedom")
-    return stat, dof, CHI2_Q999[dof]
+    return stat, dof, chi2_q999(dof)

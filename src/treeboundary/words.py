@@ -73,6 +73,11 @@ class Presentation:
             return code
         return self.s + ((code - self.s) ^ 1)
 
+    @cached_property
+    def inverse_codes(self) -> tuple[int, ...]:
+        """``inverse_code`` of every letter code, indexed by code."""
+        return tuple(self.inverse_code(c) for c in range(self.degree))
+
     def code_of(self, letter: Letter) -> int:
         if letter.index <= self.s:
             # order-two generator: either exponent names the same letter
@@ -150,14 +155,15 @@ class Word:
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.presentation
-        prev = None
+        inverse = self.presentation.inverse_codes
+        degree = len(inverse)
+        forbidden = -1
         for c in self.codes:
-            if not 0 <= c < p.degree:
-                raise ValueError(f"letter code {c} out of range for {p}")
-            if prev is not None and c == p.inverse_code(prev):
+            if not 0 <= c < degree:
+                raise ValueError(f"letter code {c} out of range for {self.presentation}")
+            if c == forbidden:
                 raise ValueError("word is not reduced")
-            prev = c
+            forbidden = inverse[c]
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -175,6 +175,25 @@ def test_sample_summary(capsys):
     assert sum(v[0] for v in data["frequencies"].values()) == 100
 
 
+def test_sample_past_the_int64_word_ids(capsys):
+    code, out, _ = run(capsys, "sample", "--s", "4", "--t", "0", "--depth", "80",
+                       "--n-samples", "100", "--seed", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert sum(v[0] for v in data["frequencies"].values()) == 100
+    assert all(len(w.split()) == 80 for w in data["frequencies"])
+
+
+def test_sample_honours_max_cells(capsys):
+    args = ("sample", "--s", "3", "--t", "0", "--depth", "10", "--n-samples", "10")
+    code, _, err = run(capsys, *args, "--max-cells", "99")
+    assert code == 3
+    assert "resource bound" in err
+    code, out, _ = run(capsys, *args, "--max-cells", "100", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 10
+
+
 def test_invalid_presentation_exits_2(capsys):
     code, _, err = run(capsys, "measure", "--s", "1", "--t", "0", "--word", "a1")
     assert code == 2

@@ -64,6 +64,20 @@ def test_word_rejects_unreduced():
         Word(P11, (1, 2))  # b1 then b1'
 
 
+def test_word_checks_letter_by_letter():
+    # each letter is range-checked, then checked against its predecessor
+    with pytest.raises(ValueError, match="word is not reduced"):
+        Word(P30, (0, 0, 7))
+    with pytest.raises(ValueError, match="letter code 7 out of range"):
+        Word(P30, (0, 7, 7))
+    with pytest.raises(ValueError, match="letter code -1 out of range"):
+        Word(P02, (-1,))
+    with pytest.raises(ValueError, match="word is not reduced"):
+        Word(P02, (2, 3, 1))  # b2 then b2'
+    assert P02.inverse_codes == (1, 0, 3, 2)
+    assert P11.inverse_codes == (0, 2, 1)
+
+
 def test_serialization_round_trip():
     for p in PRESENTATIONS:
         for m in range(4):
