@@ -111,9 +111,15 @@ def rn_table(g: Word, depth: int, limit: int | None = DEFAULT_CELL_LIMIT) -> RNT
     """The scaling table of ``g`` on the depth-``depth`` cell partition."""
     if depth <= len(g):
         raise ValueError("table depth must exceed the length of the element")
-    cells = sphere(g.presentation, depth, limit)
-    entries = tuple((Cylinder(y), rn_value(g, Cylinder(y))) for y in cells)
-    return RNTable(g, depth, entries)
+    # the exponent depends only on the first len(g) letters of a cell
+    n, values = Fraction(g.presentation.branching), {}
+    entries = []
+    for y in sphere(g.presentation, depth, limit):
+        head = y.codes[:len(g)]
+        if head not in values:
+            values[head] = n ** rn_exponent(g, y)
+        entries.append((Cylinder(y), values[head]))
+    return RNTable(g, depth, tuple(entries))
 
 
 def cyclic_core(g: Word) -> tuple[Word, Word]:

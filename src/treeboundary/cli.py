@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .action import act_cylinder, act_point, rn_table
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion, Word
@@ -34,7 +35,9 @@ def _add_presentation(parser: argparse.ArgumentParser) -> None:
                         help="refuse enumerations above this many cells")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     top = argparse.ArgumentParser(prog="treeboundary",
                                   description="exact boundary arithmetic on homogeneous trees")
     sub = top.add_subparsers(dest="command", required=True)
@@ -177,12 +180,12 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "ergodic":
-        ok = transitivity_check(p, args.m)
+        ok = transitivity_check(p, args.m, limit=args.max_cells)
         _emit({"m": args.m, "transitive": ok}, fmt, text_lines=[str(ok).lower()])
         return 0
 
     if args.command == "ratio" and args.subcommand == "values":
-        values = realized_rn_values(p, args.max_len, args.depth, args.max_cells)
+        values = realized_rn_values(p, args.max_len, args.depth)
         ordered = [str(v) for v in sorted(values)]
         _emit(ordered, fmt, text_lines=ordered)
         return 0

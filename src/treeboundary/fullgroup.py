@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .action import act_cylinder, act_point
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
-from .words import Presentation, Word, sphere
+from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
 
 DEFAULT_MAX_STEP = 32
 
@@ -303,25 +303,24 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     return SwapReport(str(k.x), str(k.y), k.step_count, tuple(checks))
 
 
-def transitivity_check(p: Presentation, m: int, max_step: int = 2) -> bool:
+def transitivity_check(p: Presentation, m: int, max_step: int = 2,
+                       limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
     """Whether the swaps carry every depth-m cylinder onto every other.
 
-    Certified by exact measure bookkeeping for each ordered pair: the
-    forward pieces plus the residual corridor must tile the source
-    cylinder, and their images plus the residual image must tile the
-    target.  Depth zero is vacuously transitive.
+    Certified by the swaps from the first depth-m cylinder onto each other
+    one: swaps are involutions, so their orbits chain.  Each must tile: the
+    forward pieces plus the residual corridor tile the source cylinder, and
+    their images plus the residual image the target.  ``limit`` bounds the
+    sphere words.  Depth zero is vacuously transitive.
     """
     if m < 0:
         raise ValueError("depth must be nonnegative")
     if m == 0:
         return True
-    words = sphere(p, m)
-    for x in words:
-        for y in words:
-            k = build_swap(x, y, max_step)
-            if k.is_identity:
-                continue
-            measure_ok = all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces())
-            if not (measure_ok and _tiles_support(k)):
-                return False
+    first, *others = sphere(p, m, limit)
+    for y in others:
+        k = build_swap(first, y, max_step)
+        measure_ok = all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces())
+        if not (measure_ok and _tiles_support(k)):
+            return False
     return True

@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import act_cylinder, act_point, fixed_points, rn_exponent, rn_table
+from .action import act_cylinder, act_point, fixed_points, rn_exponent
 from .cylinders import Cylinder, CylinderUnion
 from .fullgroup import PiecewiseTranslation, build_swap, transitivity_check
-from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
+from .words import Presentation, Word
 
 
 def power_exponent(value: Fraction, n: int) -> int | None:
@@ -60,21 +60,14 @@ def power_exponent(value: Fraction, n: int) -> int | None:
     return None
 
 
-def realized_rn_values(
-    p: Presentation,
-    max_len: int,
-    depth: int,
-    limit: int | None = DEFAULT_CELL_LIMIT,
-) -> set[Fraction]:
-    """All scaling values of elements up to ``max_len`` on depth-``depth`` cells."""
+def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fraction]:
+    """All scaling values of elements up to ``max_len`` on depth-``depth`` cells:
+    ``n**k`` for ``|k| <= max_len``, since a length-l element scales its cells
+    by ``n**(2c - l)`` for every cancellation length c in 0..l."""
     if depth <= max_len:
         raise ValueError("depth must exceed the maximal element length")
-    values: set[Fraction] = set()
-    for length in range(max_len + 1):
-        for g in sphere(p, length, limit):
-            table = rn_table(g, depth, limit)
-            values.update(v for _, v in table.entries)
-    return values
+    n = Fraction(p.branching)
+    return {n ** k for k in range(-max_len, max_len + 1)}
 
 
 @dataclass(frozen=True)

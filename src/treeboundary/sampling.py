@@ -21,8 +21,6 @@ from functools import cache, cached_property
 from itertools import accumulate
 from typing import IO, Mapping
 
-import numpy as np
-
 from .action import act_cylinder
 from .cylinders import Cylinder, CylinderUnion
 from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere
@@ -95,12 +93,6 @@ class SampleBatch:
         }
 
 
-def _successor_table(p: Presentation, dtype: np.dtype) -> np.ndarray:
-    inverse = p.inverse_codes
-    rows = [[v for v in range(p.degree) if v != inverse[u]] for u in range(p.degree)]
-    return np.asarray(rows, dtype=dtype)
-
-
 def sample(p: Presentation, depth: int, count: int, seed: int,
            limit: int | None = DEFAULT_CELL_LIMIT) -> SampleBatch:
     """Draw ``count`` independent depth-``depth`` truncations under the measure.
@@ -117,11 +109,12 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
     if limit is not None and count * depth > limit:
         raise ResourceLimitError(
             f"{count} draws of depth {depth} ({count * depth} letters) exceed the bound {limit}")
-    degree, n = p.degree, p.branching
+    import numpy as np  # here, so that importing the package does not load numpy
+    degree, n, inverse = p.degree, p.branching, p.inverse_codes
     # big-endian letters, so that the bytes of a row sort like its codes
     dtype = np.min_scalar_type(degree - 1).newbyteorder(">")
     row = np.dtype((np.void, depth * dtype.itemsize))
-    succ = _successor_table(p, dtype)
+    succ = np.asarray([[v for v in range(degree) if v != inverse[u]] for u in range(degree)], dtype=dtype)
     totals: dict[tuple[int, ...], int] = {}
     for block_index in range(0, (count + BLOCK - 1) // BLOCK):
         lo = block_index * BLOCK

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from treeboundary import BoundaryPoint, Cylinder, CylinderUnion, Presentation, Word
+from treeboundary import BoundaryPoint, Cylinder, CylinderUnion, Presentation, Word, build_swap, rn_value
+from treeboundary.fullgroup import _tiles_support
 
 PRESENTATIONS = [Presentation(3, 0), Presentation(1, 1), Presentation(0, 2), Presentation(4, 0)]
 
@@ -77,6 +78,33 @@ def union_truncations(region: CylinderUnion, depth: int) -> set[tuple[int, ...]]
         codes
         for codes in brute_force_sphere(p, depth)
         if any(Word(p, codes).startswith(cyl.base) for cyl in region)
+    }
+
+
+def pairwise_transitivity(p: Presentation, m: int, max_step: int = 2) -> bool:
+    """Transitivity by a swap for every ordered pair of distinct depth-m words,
+    each checked by measure bookkeeping and tiling."""
+    words = [Word(p, codes) for codes in brute_force_sphere(p, m)]
+    for x in words:
+        for y in words:
+            if x == y:
+                continue
+            k = build_swap(x, y, max_step)
+            if not all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces()):
+                return False
+            if not _tiles_support(k):
+                return False
+    return True
+
+
+def enumerated_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fraction]:
+    """Scaling values of every element of length <= max_len on every depth-``depth`` cell."""
+    cells = [Cylinder(Word(p, codes)) for codes in brute_force_sphere(p, depth)]
+    return {
+        rn_value(Word(p, codes), cell)
+        for length in range(max_len + 1)
+        for codes in brute_force_sphere(p, length)
+        for cell in cells
     }
 
 

@@ -20,8 +20,11 @@ from treeboundary import (
     sphere,
 )
 
+import treeboundary.action as action
+
 from conftest import (
     PRESENTATIONS,
+    brute_force_sphere,
     image_by_membership,
     random_boundary_point,
     random_reduced_word,
@@ -126,6 +129,34 @@ def test_rn_table_validates_depth():
         rn_table(w("a1 a2"), 2)
     with pytest.raises(ValueError):
         rn_value(w("a1 a2"), Cylinder(w("a1 a2")))
+
+
+def test_rn_table_matches_rn_value_cell_by_cell(presentation):
+    rng = random.Random(29)
+    for _ in range(12):
+        g = random_reduced_word(rng, presentation, rng.randrange(0, 4))
+        for depth in (len(g) + 1, len(g) + 2):
+            cells = [Cylinder(Word(presentation, codes)) for codes in brute_force_sphere(presentation, depth)]
+            expected = [(cell, rn_value(g, cell)) for cell in cells]
+            assert list(rn_table(g, depth).entries) == expected
+
+
+def test_rn_table_computes_one_exponent_per_prefix(monkeypatch, presentation):
+    calls = []
+    real = action.rn_exponent
+
+    def counting(g, base):
+        calls.append(base.codes[:len(g)])
+        return real(g, base)
+
+    monkeypatch.setattr(action, "rn_exponent", counting)
+    rng = random.Random(31)
+    for length in range(4):
+        g = random_reduced_word(rng, presentation, length)
+        calls.clear()
+        table = rn_table(g, length + 2)
+        assert len(calls) == len(set(calls)) == len(brute_force_sphere(presentation, length))
+        assert len(table.entries) == len(brute_force_sphere(presentation, length + 2))
 
 
 def test_rn_table_partitions_and_is_power_of_n(presentation):

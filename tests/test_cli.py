@@ -1,8 +1,17 @@
+import argparse
+import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treeboundary.cli import main
+import treeboundary
+import treeboundary.fullgroup as fullgroup
+from treeboundary.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -108,11 +117,30 @@ def test_ergodic_check(capsys):
     assert json.loads(out) == {"m": 2, "transitive": True}
 
 
+def test_ergodic_check_honours_max_cells(capsys, monkeypatch):
+    args = ("ergodic", "check", "--s", "3", "--t", "0", "--m", "2")
+    monkeypatch.setattr(fullgroup, "build_swap", None)
+    code, _, err = run(capsys, *args, "--max-cells", "5")
+    assert code == 3
+    assert "resource bound" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *args, "--max-cells", "6")
+    assert code == 0
+    assert out == "true\n"
+
+
 def test_ratio_values(capsys):
     code, out, _ = run(capsys, "ratio", "values", "--s", "3", "--t", "0",
                        "--max-len", "1", "--depth", "3")
     assert code == 0
     assert out.splitlines() == ["1/2", "1", "2"]
+
+
+def test_ratio_values_enumerate_nothing(capsys):
+    code, out, _ = run(capsys, "ratio", "values", "--s", "3", "--t", "0",
+                       "--max-len", "5", "--depth", "9", "--max-cells", "1")
+    assert code == 0
+    assert out.splitlines() == ["1/32", "1/16", "1/8", "1/4", "1/2", "1", "2", "4", "8", "16", "32"]
 
 
 def test_ratio_witness(capsys):
@@ -215,3 +243,111 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    try:
+        calls = [
+            ("measure", "--s", "3", "--t", "0", "--word", "a1 a2"),
+            ("measure", "--s", "3", "--t", "0", "--nonsense"),
+            ("group", "sphere", "--s", "3", "--t", "0", "--m", "2", "--count"),
+        ]
+        outputs = []
+        for _ in range(3):
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                outputs.append((code, *capsys.readouterr()))
+        first = len(built)
+    finally:
+        build_parser.cache_clear()
+    assert built.count("treeboundary") == 1
+    assert first == len(built)
+    assert [code for code, _, _ in outputs[:3]] == [0, 2, 0]
+    assert outputs[:3] == outputs[3:6] == outputs[6:]
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(treeboundary.__file__).resolve().parents[1])
+    script = "import sys, treeboundary, treeboundary.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout == "False\n"
+
+
+# sha256 of the exit code, a newline and the standard output, recorded while
+# the parser was rebuilt per call, transitivity built every ordered pair and
+# ratio values enumerated: the README's commands and four per presentation
+GOLDEN = {
+    "measure --s 3 --t 0 --word 'a1 a2'":
+        "190688f99b9226552853e78766a45220f3b4ea22482db6535a2aedabf06facc1",
+    "group sphere --s 3 --t 0 --m 2 --count":
+        "df4f9b728b7582d27215a2a8164a6838bd7a9b73801ebd161a1a39ed6a23d434",
+    "group ck-matrix --s 0 --t 2 --format json":
+        "ce09b152c49609b79106dcd2774f7567f22fd0a3b8ea9ecbf74873ab5088341a",
+    "act --s 3 --t 0 --g a1 --word a1":
+        "7d0f5154711da4424ff20e169eca3c3b1e526c148b0adb79e39487255a26b40e",
+    "rn --s 3 --t 0 --g a1 --depth 2 --format json":
+        "7f7251e659b46ed3a6243d5e5bc924c1087f66a28e1b24bbbc18e91dd578db85",
+    "kmap build --s 3 --t 0 --x a1 --y a2 --max-step 4 --format json":
+        "9fee126a6ecbf7db6e069c1a9a86fa75bc5b2b05289d2653771bf446adfee72f",
+    "kmap verify --s 3 --t 0 --x a1 --y a2 --format json":
+        "32533c68f16e4dfeef4716248eabca9152cbe8b9a4dcbd34f247fa6bdd49f52f",
+    "kmap apply --s 3 --t 0 --x a1 --y a2 --point 'a1 a3 | a2 a3'":
+        "424f5cc52b6f7f686bde65b22933621cb34ec9fe0136217005180fbbf43d6598",
+    "ergodic check --s 1 --t 1 --m 2":
+        "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
+    "ratio values --s 3 --t 0 --max-len 2 --depth 4":
+        "b4a276cbf88935c856c508dc0cff804cb2eb053e311ff8d4d64c23d71bf7f655",
+    'ratio witness --s 3 --t 0 --lambda 2 --E \'["a2"]\' --format json':
+        "1a401c86c62c8b06a7adc76ec11bd63011ae771f42663105b0994aa2d76aa54b",
+    "classify --s 3 --t 0":
+        "da3b23d664da515c7cbdf91713935bac65f11372751a4ac66024f5ad9a4559d4",
+    "sample --s 3 --t 0 --depth 2 --n-samples 1000 --seed 7 --format csv":
+        "f362fac549f008cd1ca9580834e321213cc3818c13d7cabf7d5993434953657a",
+    "rn --s 3 --t 0 --g a1 --depth 5 --format json":
+        "ab5711f890efbec8fe52f0da1d71830619131eaa33a67690febca2dc02745cb8",
+    "ergodic check --s 3 --t 0 --m 2":
+        "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
+    "classify --s 3 --t 0 --format json":
+        "557bde940139c348f4360e12756debc573762f9f2b278d270bfcccd4ef891b5f",
+    "rn --s 1 --t 1 --g a1 --depth 5 --format json":
+        "7d3c0af8ea6004bf47d453f65b28666201a984ee8fe43a907e40d764025df82f",
+    "ratio values --s 1 --t 1 --max-len 2 --depth 4":
+        "b4a276cbf88935c856c508dc0cff804cb2eb053e311ff8d4d64c23d71bf7f655",
+    "classify --s 1 --t 1 --format json":
+        "d59ebae5713f60784c655ee3e2c111761eddf283286b100336335f4cead76c25",
+    "rn --s 0 --t 2 --g b1 --depth 5 --format json":
+        "c04153cf3f1288e82f06c4094b7cd0c7aa9d4e2e7d9cf6bc066c2537aebc7e05",
+    "ratio values --s 0 --t 2 --max-len 2 --depth 4":
+        "21c803d7e125315c566d58120716a77f57050ddacf485f6a9204fd42adea48f0",
+    "ergodic check --s 0 --t 2 --m 2":
+        "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
+    "classify --s 0 --t 2 --format json":
+        "64de0903c7ebaa9374c2da0d33fbe48e2f22eafe04a98a2df6545111a2e587f4",
+    "rn --s 4 --t 0 --g a1 --depth 5 --format json":
+        "e0e4160375c96f07216ad673f896d9d9c856d86d4a913e2160b8c01688e989d2",
+    "ratio values --s 4 --t 0 --max-len 2 --depth 4":
+        "21c803d7e125315c566d58120716a77f57050ddacf485f6a9204fd42adea48f0",
+    "ergodic check --s 4 --t 0 --m 2":
+        "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
+    "classify --s 4 --t 0 --format json":
+        "43b37da62dd7d1b6cedfbd3df335eb23ab16d4a442ce44a9112baa1a50c90f3e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_output_is_byte_identical(capsys, command):
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == GOLDEN[command]

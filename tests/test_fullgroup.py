@@ -17,10 +17,11 @@ from treeboundary import (
     verify_swap,
 )
 
+import treeboundary.fullgroup as fullgroup
 from treeboundary.cylinders import periodic_extension
 from treeboundary.fullgroup import DEFAULT_MAX_STEP
 
-from conftest import PRESENTATIONS, random_boundary_point, random_reduced_word
+from conftest import PRESENTATIONS, pairwise_transitivity, random_boundary_point, random_reduced_word
 
 P30 = Presentation(3, 0)
 P11 = Presentation(1, 1)
@@ -311,6 +312,39 @@ def test_transitivity_examples():
 
 def test_transitivity_all_presentations(presentation):
     assert transitivity_check(presentation, 1)
+
+
+@pytest.mark.parametrize("max_step", [1, 2, 3])
+def test_star_agrees_with_pairwise_oracle(presentation, max_step):
+    for m in (0, 1, 2):
+        assert transitivity_check(presentation, m, max_step) == pairwise_transitivity(presentation, m, max_step)
+
+
+@pytest.mark.parametrize("broken", range(1, 6))
+def test_star_fails_when_one_star_swap_fails(monkeypatch, broken):
+    words = sphere(P30, 2)
+    real = fullgroup._tiles_support
+
+    def tiles(k):
+        return (k.x, k.y) != (words[0], words[broken]) and real(k)
+
+    monkeypatch.setattr(fullgroup, "_tiles_support", tiles)
+    assert not transitivity_check(P30, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_star_builds_one_swap_per_other_word(monkeypatch, presentation, m):
+    built = []
+    real = fullgroup.build_swap
+
+    def counting(x, y, *args):
+        built.append((x, y))
+        return real(x, y, *args)
+
+    monkeypatch.setattr(fullgroup, "build_swap", counting)
+    assert transitivity_check(presentation, m)
+    words = sphere(presentation, m)
+    assert built == [(words[0], y) for y in words[1:]]
 
 
 def test_build_swap_validation():

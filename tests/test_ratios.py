@@ -17,7 +17,7 @@ from treeboundary import (
     rn_value,
 )
 
-from conftest import PRESENTATIONS, random_union
+from conftest import PRESENTATIONS, enumerated_rn_values, random_union
 
 P30 = Presentation(3, 0)
 
@@ -37,6 +37,12 @@ def test_realized_values_examples():
     assert realized_rn_values(P30, 0, 1) == {Fraction(1)}
     with pytest.raises(ValueError):
         realized_rn_values(P30, 2, 2)
+
+
+@pytest.mark.parametrize("max_len", range(4))
+def test_realized_values_match_enumeration(presentation, max_len):
+    for depth in (max_len + 1, max_len + 2):
+        assert realized_rn_values(presentation, max_len, depth) == enumerated_rn_values(presentation, max_len, depth)
 
 
 def test_realized_values_are_symmetric_powers(presentation):
