@@ -43,12 +43,10 @@ from .ratios import (
 from .sampling import EmpiricalRN, SampleBatch, chi_square, empirical_rn, frequency_sigma, sample
 from .words import (
     DEFAULT_CELL_LIMIT,
-    Letter,
     Presentation,
     ResourceLimitError,
     Word,
     cuntz_krieger_matrix,
-    reduce_letters,
     sphere,
     sphere_size,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "CylinderUnion",
     "DEFAULT_CELL_LIMIT",
     "EmpiricalRN",
-    "Letter",
     "Piece",
     "PiecewiseTranslation",
     "Presentation",
@@ -84,7 +81,6 @@ __all__ = [
     "periodic_extension",
     "power_exponent",
     "realized_rn_values",
-    "reduce_letters",
     "rn_exponent",
     "rn_table",
     "rn_value",

@@ -97,13 +97,15 @@ class RNTable:
         return tuple((cell, v) for cell, v in self.entries if cell.base.startswith(base))
 
     def to_json(self) -> list[dict]:
+        # value and exponent depend only on the first len(g) letters of a cell
+        g, printed = self.element, {}
         rows = []
         for cell, value in self.entries:
-            rows.append({
-                "cell": str(cell.base),
-                "value": str(value),
-                "exponent": rn_exponent(self.element, cell.base),
-            })
+            head = cell.base.codes[:len(g)]
+            if head not in printed:
+                printed[head] = str(value), rn_exponent(g, cell.base)
+            text, exponent = printed[head]
+            rows.append({"cell": str(cell.base), "value": text, "exponent": exponent})
         return rows
 
 

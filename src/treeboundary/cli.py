@@ -126,7 +126,12 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "group" and args.subcommand == "sphere":
         if args.count:
-            print(sphere_size(p, args.m))
+            size = sphere_size(p, args.m)
+            try:
+                text = str(size)
+            except ValueError:  # more digits than Python converts to a string
+                raise ResourceLimitError(f"sphere of length {args.m} has too many words to print") from None
+            print(text)
             return 0
         words = sphere(p, args.m, args.max_cells)
         _emit([str(w) for w in words], fmt, text_lines=[str(w) for w in words])
@@ -134,8 +139,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "group" and args.subcommand == "ck-matrix":
         matrix = cuntz_krieger_matrix(p)
-        letters = [p.token_of(c) for c in range(p.degree)]
-        payload = {"letters": letters, "matrix": matrix}
+        payload = {"letters": list(p.tokens), "matrix": matrix}
         _emit(payload, fmt, text_lines=[" ".join(map(str, row)) for row in matrix])
         return 0
 
@@ -193,6 +197,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "ratio" and args.subcommand == "witness":
         ambient = CylinderUnion.parse(p, json.loads(args.ambient))
         witness = find_witness(Fraction(args.lam), ambient, p)
+        if witness.rn_check_count > args.max_cells:
+            raise ResourceLimitError(f"rn_checks would list more than {args.max_cells} cells")
         _emit(witness.to_json(), fmt)
         return 0
 

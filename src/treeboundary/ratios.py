@@ -22,7 +22,8 @@ The witness construction for a single factor of n:
   the first translation piece.
 
 On the restricted set the composite acts by one group element, so
-containment and scaling are checked cell by cell in exact arithmetic.
+containment is checked on cylinders and the scaling by one Busemann
+cocycle per cylinder of F, in exact arithmetic.
 Larger powers chain unit witnesses through the image sets; negative
 powers invert the chain.
 """
@@ -32,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import act_cylinder, act_point, fixed_points, rn_exponent
+from .action import _cancellation, act_cylinder, act_point, fixed_points
 from .cylinders import Cylinder, CylinderUnion
-from .fullgroup import PiecewiseTranslation, build_swap, transitivity_check
-from .words import Presentation, Word
+from .fullgroup import build_swap, transitivity_check
+from .words import Presentation, Word, sphere_size
 
 
 def power_exponent(value: Fraction, n: int) -> int | None:
@@ -74,25 +75,21 @@ def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fractio
 class WitnessStage:
     """One unit factor of the witness map: swap in, cancel a generator, swap back.
 
-    ``mover`` is the single group element by which the whole stage acts on
-    the stage's restricted set.
+    The two swaps are kept as their ``(x, y)`` words; ``mover`` is the single
+    group element by which the whole stage acts on the stage's restricted set.
     """
 
-    into_shadow: PiecewiseTranslation
+    into_shadow: tuple[Word, Word]
     generator: Word
-    back_into: PiecewiseTranslation
+    back_into: tuple[Word, Word]
     mover: Word
 
     def to_json(self) -> dict:
-        def swap_json(k: PiecewiseTranslation) -> dict | str:
-            if k.is_identity:
-                return "id"
-            return {"x": str(k.x), "y": str(k.y)}
-
+        (x1, y1), (x2, y2) = self.into_shadow, self.back_into
         return {
-            "k1": {"x": str(self.into_shadow.x), "y": str(self.into_shadow.y)},
+            "k1": {"x": str(x1), "y": str(y1)},
             "g": str(self.generator),
-            "k2": swap_json(self.back_into),
+            "k2": "id" if x2 == y2 else {"x": str(x2), "y": str(y2)},
         }
 
     def inverted(self) -> "WitnessStage":
@@ -103,9 +100,11 @@ class WitnessStage:
 class Witness:
     """Certificate that ``lam`` is an essential scaling value inside ``ambient``.
 
-    ``deviation`` is the largest gap between the scaling on a cell of F
-    and the target; the construction is exact, so it is always zero and
-    the certificate holds for every positive tolerance simultaneously.
+    ``rn_cells`` holds the scaling of ``net_element`` on each cylinder of F,
+    where the cocycle certifies it constant.  ``deviation`` is the largest
+    gap between those values and the target; the construction is exact, so
+    it is always zero and the certificate holds for every positive tolerance
+    simultaneously.
     """
 
     lam: Fraction
@@ -120,7 +119,22 @@ class Witness:
     def deviation(self) -> Fraction:
         return max((abs(v - self.lam) for _, v in self.rn_cells), default=Fraction(0))
 
+    def _check_depth(self, cyl: Cylinder) -> int:
+        """Depth at which ``rn_checks`` lists the cells of a cylinder of F."""
+        return max(cyl.depth, len(self.net_element) + 1)
+
+    @property
+    def rn_check_count(self) -> int:
+        """Number of cells ``to_json`` lists under ``rn_checks``, in closed form."""
+        p = self.found.presentation
+        return sum(sphere_size(p, self._check_depth(c)) // sphere_size(p, c.depth) for c in self.found)
+
     def to_json(self) -> dict:
+        # each cylinder's value, listed on its cells deeper than the mover
+        rn_checks = []
+        for cyl, value in self.rn_cells:
+            text, cells = str(value), cyl.descendants(self._check_depth(cyl))
+            rn_checks += [{"cell": str(sub.base), "value": text} for sub in cells]
         out = {
             "lambda": str(self.lam),
             "E": self.ambient.bases(),
@@ -129,7 +143,7 @@ class Witness:
             "net_element": str(self.net_element),
             "deviation": str(self.deviation),
             "stages": [st.to_json() for st in self.stages],
-            "rn_checks": [{"cell": str(c.base), "value": str(v)} for c, v in self.rn_cells],
+            "rn_checks": rn_checks,
         }
         if len(self.stages) == 1:
             out.update(self.stages[0].to_json())
@@ -145,16 +159,20 @@ def _first_word_starting_with(p: Presentation, first: int, length: int) -> Word:
 
 
 def _rn_cells(f: CylinderUnion, mover: Word, lam: Fraction) -> tuple[tuple[Cylinder, Fraction], ...]:
-    p = f.presentation
-    n = p.branching
-    cells: list[tuple[Cylinder, Fraction]] = []
+    """The scaling of ``mover`` on each cylinder of F, one cocycle per cylinder.
+
+    On the cylinder over ``w`` the cocycle ``n**(2c - len(mover))`` is
+    constant exactly when the cancellation length ``c`` stops inside ``w``
+    or uses up the whole mover; otherwise the cells below ``w`` disagree.
+    """
+    n = Fraction(f.presentation.branching)
+    cells = []
     for cyl in f:
-        depth = max(cyl.depth, len(mover) + 1)
-        for sub in cyl.descendants(depth):
-            value = Fraction(n) ** rn_exponent(mover, sub.base)
-            cells.append((sub, value))
-    if any(v != lam for _, v in cells):
-        raise AssertionError("witness scaling is not constant at the target value")
+        c = _cancellation(mover, cyl.base)
+        value = n ** (2 * c - len(mover))
+        if c == cyl.depth < len(mover) or value != lam:
+            raise AssertionError("witness scaling is not constant at the target value")
+        cells.append((cyl, value))
     return tuple(cells)
 
 
@@ -178,26 +196,26 @@ def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, 
     g = Word(p, (gen_code,))
 
     if c.codes[0] == gen_code:
-        into_shadow = build_swap(c, c)
+        into_shadow = (c, c)
         u = p.identity()
         d1 = first.children()[0]
     else:
         w = _first_word_starting_with(p, gen_code, len(c))
-        into_shadow = build_swap(c, w, max_step=1)
-        piece = into_shadow.pieces_at_step(1)[0]
+        into_shadow = (c, w)
+        piece = build_swap(c, w, max_step=1).pieces_at_step(1)[0]
         u = piece.element
         d1 = piece.domain
     q1 = Cylinder(u * d1.base)
 
     shifted = Cylinder(~g * q1.base)
     if ambient.contains(shifted):
-        back_into = build_swap(shifted.base, shifted.base)
+        back_into = (shifted.base, shifted.base)
         mover = ~g * u
         found = CylinderUnion(p, (d1,))
         image = CylinderUnion(p, (shifted,))
     else:
-        back_into = build_swap(shifted.base, c, max_step=1)
-        piece2 = back_into.pieces_at_step(1)[0]
+        back_into = (shifted.base, c)
+        piece2 = build_swap(shifted.base, c, max_step=1).pieces_at_step(1)[0]
         mover = piece2.element * ~g * u
         found = act_cylinder(~(~g * u), piece2.domain)
         image = CylinderUnion(p, (piece2.image,))
@@ -224,20 +242,12 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
     if k is None or k == 0:
         raise ValueError(f"target value {lam} is not a nontrivial power of the branching number {n}")
 
-    if k < 0:
-        forward = find_witness(Fraction(n) ** (-k), ambient, p)
-        mover = ~forward.net_element
-        stages = tuple(st.inverted() for st in reversed(forward.stages))
-        rn_cells = _rn_cells(forward.image, mover, lam)
-        return Witness(lam, ambient, forward.image, forward.found, stages, mover, rn_cells)
-
     stage, found, image = _unit_stage(ambient, p)
     stages = [stage]
     mover = stage.mover
-    while len(stages) < k:
-        nxt, nxt_found, nxt_image = _unit_stage(image, p)
+    while len(stages) < abs(k):
+        nxt, nxt_found, image = _unit_stage(image, p)
         found = _preimage(mover, nxt_found)
-        image = nxt_image
         mover = nxt.mover * mover
         stages.append(nxt)
 
@@ -245,8 +255,11 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
         raise AssertionError("witness containment failed")
     if found.measure <= 0:
         raise AssertionError("witness set has measure zero")
-    rn_cells = _rn_cells(found, mover, lam)
-    return Witness(lam, ambient, found, image, tuple(stages), mover, rn_cells)
+    if k < 0:
+        # the inverse chain maps the image back onto F
+        stages = [st.inverted() for st in reversed(stages)]
+        found, image, mover = image, found, ~mover
+    return Witness(lam, ambient, found, image, tuple(stages), mover, _rn_cells(found, mover, lam))
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DEFAULT_CELL_LIMIT = 10**7
 
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured cell budget."""
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A generator or its inverse.  ``index`` is 1-based; a generator of
-    order two is its own inverse, so such letters always carry exponent +1."""
-
-    index: int
-    exponent: int = 1
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
-        if self.exponent not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -78,34 +63,11 @@ class Presentation:
         """``inverse_code`` of every letter code, indexed by code."""
         return tuple(self.inverse_code(c) for c in range(self.degree))
 
-    def code_of(self, letter: Letter) -> int:
-        if letter.index <= self.s:
-            # order-two generator: either exponent names the same letter
-            return letter.index - 1
-        if letter.index > self.s + self.t:
-            raise ValueError(f"letter index {letter.index} out of range for {self}")
-        base = self.s + 2 * (letter.index - self.s - 1)
-        return base if letter.exponent == 1 else base + 1
-
-    def letter_of(self, code: int) -> Letter:
-        if not 0 <= code < self.degree:
-            raise ValueError(f"letter code {code} out of range for {self}")
-        if code < self.s:
-            return Letter(code + 1)
-        offset = code - self.s
-        return Letter(self.s + offset // 2 + 1, -1 if offset % 2 else 1)
-
     @cached_property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(self.letter_of(c) for c in range(self.degree))
-
-    def token_of(self, code: int) -> str:
-        if not 0 <= code < self.degree:
-            raise ValueError(f"letter code {code} out of range for {self}")
-        if code < self.s:
-            return f"a{code + 1}"
-        offset = code - self.s
-        return f"b{offset // 2 + 1}" + ("'" if offset % 2 else "")
+    def tokens(self) -> tuple[str, ...]:
+        """The token of every letter code, indexed by code."""
+        return (tuple(f"a{i}" for i in range(1, self.s + 1))
+                + tuple(f"b{j}{mark}" for j in range(1, self.t + 1) for mark in ("", "'")))
 
     def code_of_token(self, token: str) -> int:
         kind, rest = token[:1], token[1:]
@@ -147,8 +109,7 @@ class Word:
     """A reduced word; the empty word is the identity.
 
     Words are immutable values with structural equality, so they can key
-    dictionaries and sets.  ``*`` multiplies (with reduction), ``~`` inverts,
-    ``**`` raises to integer powers.
+    dictionaries and sets.  ``*`` multiplies (with reduction) and ``~`` inverts.
     """
 
     presentation: Presentation
@@ -180,20 +141,6 @@ class Word:
         p = self.presentation
         return Word(p, tuple(p.inverse_code(c) for c in reversed(self.codes)))
 
-    def inverse(self) -> "Word":
-        return ~self
-
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return (~self) ** (-k)
-        out = self.presentation.identity()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(self.presentation.letter_of(c) for c in self.codes)
-
     def startswith(self, other: "Word") -> bool:
         return self.presentation == other.presentation and self.codes[: len(other.codes)] == other.codes
 
@@ -212,7 +159,8 @@ class Word:
     def __str__(self) -> str:
         if not self.codes:
             return "e"
-        return " ".join(self.presentation.token_of(c) for c in self.codes)
+        tokens = self.presentation.tokens
+        return " ".join([tokens[c] for c in self.codes])
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -226,11 +174,6 @@ class Word:
         return cls(p, _reduce_codes(codes, p))
 
 
-def reduce_letters(letters: Sequence[Letter], p: Presentation) -> Word:
-    """Reduce an arbitrary letter sequence to its unique normal form."""
-    return Word(p, _reduce_codes((p.code_of(l) for l in letters), p))
-
-
 def sphere_size(p: Presentation, m: int) -> int:
     """Number of reduced words of length exactly ``m``."""
     if m < 0:
@@ -242,9 +185,9 @@ def sphere_size(p: Presentation, m: int) -> int:
 
 def sphere(p: Presentation, m: int, limit: int | None = DEFAULT_CELL_LIMIT) -> list[Word]:
     """All reduced words of length ``m``, in lexicographic letter order."""
-    size = sphere_size(p, m)
-    if limit is not None and size > limit:
-        raise ResourceLimitError(f"sphere of size {size} exceeds the bound {limit}")
+    if limit is not None and sphere_size(p, m) > limit:
+        # the size itself may have more digits than Python prints
+        raise ResourceLimitError(f"sphere of length {m} has more than {limit} words")
     level: list[tuple[int, ...]] = [()]
     for _ in range(m):
         nxt = []

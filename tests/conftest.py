@@ -108,6 +108,32 @@ def enumerated_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fract
     }
 
 
+def refined_rn_cells(found: CylinderUnion, mover: Word) -> list[tuple[tuple[int, ...], int]]:
+    """The scaling exponent of ``mover`` cell by cell, as ``(cell codes, exponent)``.
+
+    Each cylinder of ``found`` is refined to the cells one letter deeper than
+    ``mover`` (or kept, when already deeper).  On such a cell ``u`` the image
+    of the cell is the cell over ``mover * u``, so the scaling is
+    ``n ** (len(u) - len(mover * u))``; the product is reduced letter by letter.
+    """
+    p = found.presentation
+    cells = []
+    for cyl in found:
+        level = [cyl.base.codes]
+        for _ in range(len(mover) + 1 - cyl.depth):
+            level = [codes + (z,) for codes in level for z in range(p.degree)
+                     if not codes or z != p.inverse_code(codes[-1])]
+        for codes in level:
+            product = list(mover.codes)
+            for z in codes:
+                if product and product[-1] == p.inverse_code(z):
+                    product.pop()
+                else:
+                    product.append(z)
+            cells.append((codes, len(codes) - len(product)))
+    return cells
+
+
 def random_reduced_word(rng: random.Random, p: Presentation, length: int) -> Word:
     codes: list[int] = []
     while len(codes) < length:

@@ -152,6 +152,36 @@ def test_ratio_witness(capsys):
     assert data["F"] == ["a2 a3 a1"]
 
 
+def test_ratio_witness_honours_max_cells(capsys, monkeypatch):
+    # F is one cylinder whose rn_checks list 3**7 cells; the count is refused
+    # before any cell is listed
+    args = ("ratio", "witness", "--s", "4", "--t", "0", "--lambda", "1/27", "--E", '["a3 a1"]',
+            "--format", "json")
+    monkeypatch.setattr(treeboundary.Cylinder, "descendants", None)
+    code, out, err = run(capsys, *args, "--max-cells", "2186")
+    assert code == 3
+    assert out == ""
+    assert err == "resource bound exceeded: rn_checks would list more than 2186 cells\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *args, "--max-cells", "2187")
+    assert code == 0
+    assert len(json.loads(out)["rn_checks"]) == 2187
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "sphere", "--m", "20000"],
+    ["group", "sphere", "--m", "20000", "--count"],
+    ["ergodic", "check", "--m", "20000"],
+    ["rn", "--g", "a1", "--depth", "20000"],
+], ids=["sphere", "sphere-count", "ergodic", "rn"])
+def test_huge_spheres_exit_3(capsys, argv):
+    # the sphere sizes have more digits than Python converts to a string
+    code, out, err = run(capsys, *argv, "--s", "3", "--t", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound exceeded: sphere of length 20000 has ")
+
+
 def test_ratio_witness_rejects_non_power(capsys):
     code, _, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "3")
     assert code == 2
@@ -288,7 +318,9 @@ def test_import_leaves_numpy_unloaded():
 
 # sha256 of the exit code, a newline and the standard output, recorded while
 # the parser was rebuilt per call, transitivity built every ordered pair and
-# ratio values enumerated: the README's commands and four per presentation
+# ratio values enumerated: the README's commands and four per presentation;
+# the witnesses (k in +-1..+-4, E the whole boundary or one depth-2 cylinder)
+# while F was refined into cells, one cocycle per cell
 GOLDEN = {
     "measure --s 3 --t 0 --word 'a1 a2'":
         "190688f99b9226552853e78766a45220f3b4ea22482db6535a2aedabf06facc1",
@@ -344,6 +376,134 @@ GOLDEN = {
         "d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c",
     "classify --s 4 --t 0 --format json":
         "43b37da62dd7d1b6cedfbd3df335eb23ab16d4a442ce44a9112baa1a50c90f3e",
+    'ratio witness --s 3 --t 0 --lambda 2 --E \'["e"]\' --format json':
+        "b1f22a916f3404aff9de29252afae97496c63508617877999626a957ee65f100",
+    'ratio witness --s 3 --t 0 --lambda 4 --E \'["e"]\' --format json':
+        "ddbe839546604cac889c482f6b28c322879531b7b96696bea94e609b9bcb8ad7",
+    'ratio witness --s 3 --t 0 --lambda 8 --E \'["e"]\' --format json':
+        "6c05f5995edf477582020c44bcf1bb5a685d74837240dd39f05f963d01a7d43e",
+    'ratio witness --s 3 --t 0 --lambda 16 --E \'["e"]\' --format json':
+        "42dd749dcf8f5bf56334502e291d4e2bbd9410b989576667e1d626f335828d8e",
+    'ratio witness --s 3 --t 0 --lambda 1/2 --E \'["e"]\' --format json':
+        "04d735f6cb545731c195a71278b66975bf850aab95d548c036e543d856ec47d3",
+    'ratio witness --s 3 --t 0 --lambda 1/4 --E \'["e"]\' --format json':
+        "80adec93c05186aed97bb1d72f686e962713465921c02f596b7b6880d93406fa",
+    'ratio witness --s 3 --t 0 --lambda 1/8 --E \'["e"]\' --format json':
+        "5f5aaa460d70d3d50f8392c99728cd3472533c2f884bd2859c9293badb7373be",
+    'ratio witness --s 3 --t 0 --lambda 1/16 --E \'["e"]\' --format json':
+        "bf4556e0bc6554754b1a162c560de7de826c2af519b6701db091936b7878c9d4",
+    'ratio witness --s 3 --t 0 --lambda 2 --E \'["a3 a1"]\' --format json':
+        "b5214dfe0aa3cc6d073172d6b771873b788bd3fb7f38a383bf240ac612dd10c3",
+    'ratio witness --s 3 --t 0 --lambda 4 --E \'["a3 a1"]\' --format json':
+        "2819dbb60906c0965576866ec0e96090e1a917ca3c4d4127dc5bf7bd6210bc2a",
+    'ratio witness --s 3 --t 0 --lambda 8 --E \'["a3 a1"]\' --format json':
+        "f18d447859b4738d6af5cdea1977efa88d90bc97d33373579c0a693e52cdb003",
+    'ratio witness --s 3 --t 0 --lambda 16 --E \'["a3 a1"]\' --format json':
+        "e9ab86a283269f01b64b3782007fbb31fbfaa4e726ebc721081390c86097bc3b",
+    'ratio witness --s 3 --t 0 --lambda 1/2 --E \'["a3 a1"]\' --format json':
+        "5afb71da88ee954aa01f654af0a47afc8f494a2103f930aee549a4f0171bef6d",
+    'ratio witness --s 3 --t 0 --lambda 1/4 --E \'["a3 a1"]\' --format json':
+        "81a3932974b81428b377651c0c032ebfa0ce2cbfd421956e0172131a7e853dca",
+    'ratio witness --s 3 --t 0 --lambda 1/8 --E \'["a3 a1"]\' --format json':
+        "c241e2605f73dba7e59698841e32563ee22cf0943296c725939324227114bbdb",
+    'ratio witness --s 3 --t 0 --lambda 1/16 --E \'["a3 a1"]\' --format json':
+        "e55fccaf4f37b3ddea2660a7990dbc678b9dc5df22cfa27becab0439cb786309",
+    'ratio witness --s 1 --t 1 --lambda 2 --E \'["e"]\' --format json':
+        "3764f40f50d284526a5d0491b60f29b0b2f9bdf9e4094ba66237fc4486f6390e",
+    'ratio witness --s 1 --t 1 --lambda 4 --E \'["e"]\' --format json':
+        "cdbeb0b4e8cc1e6729016f0ab0f9580d4b6c838beba4ea5adba4009da0fe9401",
+    'ratio witness --s 1 --t 1 --lambda 8 --E \'["e"]\' --format json':
+        "a8b2a5350f543fdeee0e80f442cdd5441844c4d6bd9c1001eebb6a6ec429a1e3",
+    'ratio witness --s 1 --t 1 --lambda 16 --E \'["e"]\' --format json':
+        "370f91ee08460035bfd07d5bd87c6336ebc97b21a80a447e44fbdeabca5ec421",
+    'ratio witness --s 1 --t 1 --lambda 1/2 --E \'["e"]\' --format json':
+        "532c9b3bc9fee40ee6e06b54c05b94728afe7543782792f20c6cce72aeddb4b7",
+    'ratio witness --s 1 --t 1 --lambda 1/4 --E \'["e"]\' --format json':
+        "8f253495e1d4bacef57ff16dbe74bad8c4ff0eb47f2eb7e56c7f4d6482de8a35",
+    'ratio witness --s 1 --t 1 --lambda 1/8 --E \'["e"]\' --format json':
+        "3e63525838ccc124a8546f6ebee3dcb11aae6a3f5ab8fd515bba1992346ff0b3",
+    'ratio witness --s 1 --t 1 --lambda 1/16 --E \'["e"]\' --format json':
+        "6694459bd020d067aebcc5fef1d853aa1302e0aaa38bb1dc624c9681be7b8024",
+    'ratio witness --s 1 --t 1 --lambda 2 --E \'["b1 a1"]\' --format json':
+        "ce1746e1612ab38d973c87057c99c81e617f60ea5c22d8da52b78bd823b06cee",
+    'ratio witness --s 1 --t 1 --lambda 4 --E \'["b1 a1"]\' --format json':
+        "bbc81fe9a79513c9d90556f4611db1510efc4fd69055d79e7c871f7345a8473e",
+    'ratio witness --s 1 --t 1 --lambda 8 --E \'["b1 a1"]\' --format json':
+        "6e0219301730cd21084ee9f2f15f33b2c60109fd0414f15ed8bed6319dcd02f1",
+    'ratio witness --s 1 --t 1 --lambda 16 --E \'["b1 a1"]\' --format json':
+        "f10e0634f2adeb471a1d189f6592f3443666ddae016c3b129e651d61ab342f32",
+    'ratio witness --s 1 --t 1 --lambda 1/2 --E \'["b1 a1"]\' --format json':
+        "f976a72b610d956c911004f6eda8a18f0a4049a16e0301ba0a0ce20304d07994",
+    'ratio witness --s 1 --t 1 --lambda 1/4 --E \'["b1 a1"]\' --format json':
+        "998ca950c587b0e102db65c6781f233c14be3fd8beb3feb127a8aa1650d8cba8",
+    'ratio witness --s 1 --t 1 --lambda 1/8 --E \'["b1 a1"]\' --format json':
+        "73e2bbca8847dacfacf2a8ffb4f2e886c66ecb8260759e777b7961597f797c9d",
+    'ratio witness --s 1 --t 1 --lambda 1/16 --E \'["b1 a1"]\' --format json':
+        "1afa8d031a87ab2771261f383571c45e152cd66488c3243410b8eb1572ab58dd",
+    'ratio witness --s 0 --t 2 --lambda 3 --E \'["e"]\' --format json':
+        "3c442f61a87c9f37208ce86fc53efc05e64ffa5d77414e10ed96645faca6aea9",
+    'ratio witness --s 0 --t 2 --lambda 9 --E \'["e"]\' --format json':
+        "ccc1cf6815d304153d056afd6b4f4942a5342b15d6dd9bff5bff4002609ec751",
+    'ratio witness --s 0 --t 2 --lambda 27 --E \'["e"]\' --format json':
+        "f2c3beee66c007e05c74813eb39060d4b28135b04fa132883b875bd8995bf042",
+    'ratio witness --s 0 --t 2 --lambda 81 --E \'["e"]\' --format json':
+        "533bc03978c0375c64edfcc82a2a92f917f87de21e10aa78a75c4501ca17a35a",
+    'ratio witness --s 0 --t 2 --lambda 1/3 --E \'["e"]\' --format json':
+        "b2ae93182f0f7d09347c6655e09e3e677a78bdbb4d5e57b030ebe1630b312a33",
+    'ratio witness --s 0 --t 2 --lambda 1/9 --E \'["e"]\' --format json':
+        "374b88eb4817728c089cd726df8ff46b274b8d751441d0cbbbd2e75a46da450b",
+    'ratio witness --s 0 --t 2 --lambda 1/27 --E \'["e"]\' --format json':
+        "03910649fe21087fe82156dd51c80abc42572fa4805ab293e6313403d22393d5",
+    'ratio witness --s 0 --t 2 --lambda 1/81 --E \'["e"]\' --format json':
+        "9426a72398fef5176ad94b445b078370f12f9e1675462ef3f8924022640e3d0f",
+    'ratio witness --s 0 --t 2 --lambda 3 --E \'["b2 b1"]\' --format json':
+        "be9facb5ac3ba7a1715ff108892079e3d2b3692d984de7e8f5db1d5e4deedf83",
+    'ratio witness --s 0 --t 2 --lambda 9 --E \'["b2 b1"]\' --format json':
+        "32a8e2a3f31db2205c52796532a1942e26d61a3a72a119ec1e549d2e6a430766",
+    'ratio witness --s 0 --t 2 --lambda 27 --E \'["b2 b1"]\' --format json':
+        "39f56fbfa1d7e2608b4917a757ead4343d148f4edfc03a3cd08a6443d72bb1dc",
+    'ratio witness --s 0 --t 2 --lambda 81 --E \'["b2 b1"]\' --format json':
+        "9fe529d81e9d391864186937060cc3693e0d2e631ca20ec0bc3e6dc0f8bd9e5f",
+    'ratio witness --s 0 --t 2 --lambda 1/3 --E \'["b2 b1"]\' --format json':
+        "ab45e5863d49b92d2c162cfd52186b9538e144ba8bd622cdbd24e79ec95f7808",
+    'ratio witness --s 0 --t 2 --lambda 1/9 --E \'["b2 b1"]\' --format json':
+        "df8877be4d83054337689dd1f045489c9cf84187c30832c7f97f718a84e0f481",
+    'ratio witness --s 0 --t 2 --lambda 1/27 --E \'["b2 b1"]\' --format json':
+        "f3e359fb2938a2cbfbc4dead3f1e60a61c5d530d9379487737307376d5c722a5",
+    'ratio witness --s 0 --t 2 --lambda 1/81 --E \'["b2 b1"]\' --format json':
+        "a07c6cd18ad12d0710f023b1810f8083e04dde92b1caba45fd024571e7397587",
+    'ratio witness --s 4 --t 0 --lambda 3 --E \'["e"]\' --format json':
+        "734dadac3a5ce064d4bbb8dcfffb671e681fa001381ab0c8317e1750566d41a7",
+    'ratio witness --s 4 --t 0 --lambda 9 --E \'["e"]\' --format json':
+        "5daed6b2108d5d90586240495efc9315ffef064a81e8db1132bfb319fb078b19",
+    'ratio witness --s 4 --t 0 --lambda 27 --E \'["e"]\' --format json':
+        "0117da50b74217fd4fbc8652ac8d348b1cfd75d7c86c4533fa0ef51766297c54",
+    'ratio witness --s 4 --t 0 --lambda 81 --E \'["e"]\' --format json':
+        "636cc6db8fc27175d4940975312d5fe74abb47a639f6899c8a4635d13e2d60ab",
+    'ratio witness --s 4 --t 0 --lambda 1/3 --E \'["e"]\' --format json':
+        "b04225083749df620ac6db92da4c6e51590eb5d7a34eade30c817af731ca331b",
+    'ratio witness --s 4 --t 0 --lambda 1/9 --E \'["e"]\' --format json':
+        "df0310fe5ff67aa1760c9cd31590f958588681cf638a8e30c9ffa53f6b8a070f",
+    'ratio witness --s 4 --t 0 --lambda 1/27 --E \'["e"]\' --format json':
+        "ca260acc1fae4ac7786b11d500edb4c78aef75f9437edbf4b8b7e0f7cf536c51",
+    'ratio witness --s 4 --t 0 --lambda 1/81 --E \'["e"]\' --format json':
+        "b29346544900f30467c674a331d4579716780188128d77c1154344896e77a591",
+    'ratio witness --s 4 --t 0 --lambda 3 --E \'["a3 a1"]\' --format json':
+        "d0cabd859121242c53956e5936fbac35461c9971820922bedccf4be2ffd542a7",
+    'ratio witness --s 4 --t 0 --lambda 9 --E \'["a3 a1"]\' --format json':
+        "709fc0a13d8916245c9c7b39b642eccfda4b10244d17a03736a7876960a71527",
+    'ratio witness --s 4 --t 0 --lambda 27 --E \'["a3 a1"]\' --format json':
+        "b6a2a81897b1c1c509e102986cc1505d75ab085882e825704b7d91fbbbeb12ba",
+    'ratio witness --s 4 --t 0 --lambda 81 --E \'["a3 a1"]\' --format json':
+        "4ce7d5727673f20ac7281f01b04272d2ec14771aea8e35f78580e94874440756",
+    'ratio witness --s 4 --t 0 --lambda 1/3 --E \'["a3 a1"]\' --format json':
+        "e453e8b116b98e017b8eecc64f6ac9ce34ecbc07fdf926d86f393ec2df0b04e4",
+    'ratio witness --s 4 --t 0 --lambda 1/9 --E \'["a3 a1"]\' --format json':
+        "d34e04105cfce9597b3f0d2fcead5db8fa6833bb408f1ae22ae54870eef68361",
+    'ratio witness --s 4 --t 0 --lambda 1/27 --E \'["a3 a1"]\' --format json':
+        "4340fc19a2fa654bb14bde75143dd216f4407a72d5a3df707307613035ffbc76",
+    'ratio witness --s 4 --t 0 --lambda 1/81 --E \'["a3 a1"]\' --format json':
+        "747c66f66faf29f5f716c87570143792105e8abd0285f539cc1fea0ffe068eff",
 }
 
 

@@ -17,7 +17,9 @@ from treeboundary import (
     rn_value,
 )
 
-from conftest import PRESENTATIONS, enumerated_rn_values, random_union
+import treeboundary.ratios as ratios
+
+from conftest import PRESENTATIONS, enumerated_rn_values, random_union, refined_rn_cells
 
 P30 = Presentation(3, 0)
 
@@ -151,6 +153,85 @@ def test_witness_rejects_bad_targets():
         find_witness(Fraction(3), ambient, P30)
     with pytest.raises(ValueError):
         find_witness(Fraction(2), CylinderUnion.empty(P30), P30)
+
+
+# one depth-2 cylinder per presentation, used as E beside the whole boundary
+DEPTH_TWO = {(3, 0): "a3 a1", (1, 1): "b1' a1", (0, 2): "b2 b1", (4, 0): "a3 a1"}
+
+
+def ambients(p):
+    return CylinderUnion.full(p), CylinderUnion.parse(p, [DEPTH_TWO[p.s, p.t]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+def test_cylinder_values_match_the_refinement(presentation, k):
+    lam = Fraction(presentation.branching) ** k
+    for ambient in ambients(presentation):
+        witness = find_witness(lam, ambient, presentation)
+        assert [c for c, _ in witness.rn_cells] == list(witness.found)
+        values = {c.base.codes: v for c, v in witness.rn_cells}
+        depths = {len(b) for b in values}
+        refined = refined_rn_cells(witness.found, witness.net_element)
+        assert len(refined) == witness.rn_check_count
+        for codes, exponent in refined:
+            (owner,) = [codes[:d] for d in depths if codes[:d] in values]
+            assert exponent == k and values[owner] == lam
+        # listing the 177,147 cells of (4,0) at k = -5 takes seconds; the smaller
+        # cases run the same listing code
+        if len(refined) <= 20000:
+            listed = witness.to_json()["rn_checks"]
+            assert [row["cell"] for row in listed] == [str(Word(presentation, c)) for c, _ in refined]
+            assert {row["value"] for row in listed} == {str(lam)}
+
+
+def test_cylinder_value_needs_a_constant_cocycle():
+    mover = Word.parse("a3 a2", P30)
+    # a2 a3 cancels all of the mover, a1 none of it: constant on each cylinder
+    assert ratios._rn_cells(CylinderUnion.parse(P30, ["a2 a3"]), mover, Fraction(4)) == (
+        (Cylinder(Word.parse("a2 a3", P30)), Fraction(4)),)
+    assert ratios._rn_cells(CylinderUnion.parse(P30, ["a1"]), mover, Fraction(1, 4)) == (
+        (Cylinder(Word.parse("a1", P30)), Fraction(1, 4)),)
+    # all of a2 cancels but not all of the mover: its cells scale by 1 and by 4
+    with pytest.raises(AssertionError, match="not constant"):
+        ratios._rn_cells(CylinderUnion.parse(P30, ["a2"]), mover, Fraction(1))
+    # constant, but not at the target
+    for base, wrong in (("a1", Fraction(4)), ("a2 a3", Fraction(1, 4))):
+        with pytest.raises(AssertionError, match="not constant"):
+            ratios._rn_cells(CylinderUnion.parse(P30, [base]), mover, wrong)
+
+
+def count_cocycles(monkeypatch) -> list:
+    """Record every cancellation length the witness layer computes itself, and
+    refuse refinement into cells."""
+    calls = []
+    cancellation = ratios._cancellation
+
+    def counting(g, w):
+        calls.append(w)
+        return cancellation(g, w)
+
+    monkeypatch.setattr(ratios, "_cancellation", counting)
+    monkeypatch.setattr(Cylinder, "descendants", None)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3, -1, -3])
+def test_one_cocycle_per_cylinder_of_f(presentation, monkeypatch, k):
+    calls = count_cocycles(monkeypatch)
+    for ambient in ambients(presentation):
+        calls.clear()
+        witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
+        assert calls == [c.base for c in witness.found]
+
+
+def test_deep_witness_does_no_per_cell_work(monkeypatch):
+    p = Presentation(4, 0)
+    calls = count_cocycles(monkeypatch)
+    witness = find_witness(Fraction(1, 3 ** 6), CylinderUnion.parse(p, ["a3 a1"]), p)
+    assert len(calls) == len(witness.found.cylinders) == 1
+    assert witness.deviation == 0
+    # the refinement the certificate no longer runs: 3**13 cells
+    assert witness.rn_check_count == 3 ** 13
 
 
 def test_classify_labels():
