@@ -120,18 +120,27 @@ def _emit(payload, fmt: str, text_lines=None) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _printable(m: int, power, refusal: str) -> int:
+    """``power()``, an integer of at least ``2**m``, unless it has more digits
+    than Python converts to a string: then ``refusal`` is raised.  ``2**m`` has
+    more than ``3m/10`` digits, so a long ``m`` is refused without the power."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, as before Python 3.10.7: no limit
+    if digits and 3 * m >= 10 * digits:
+        raise ResourceLimitError(refusal)
+    value = power()
+    if digits and value >= 10 ** digits:
+        raise ResourceLimitError(refusal)
+    return value
+
+
 def _run(args: argparse.Namespace) -> int:
     p = Presentation(args.s, args.t)
     fmt = args.format
 
     if args.command == "group" and args.subcommand == "sphere":
         if args.count:
-            size = sphere_size(p, args.m)
-            try:
-                text = str(size)
-            except ValueError:  # more digits than Python converts to a string
-                raise ResourceLimitError(f"sphere of length {args.m} has too many words to print") from None
-            print(text)
+            print(_printable(args.m, lambda: sphere_size(p, args.m),
+                             f"sphere of length {args.m} has too many words to print"))
             return 0
         words = sphere(p, args.m, args.max_cells)
         _emit([str(w) for w in words], fmt, text_lines=[str(w) for w in words])
@@ -174,6 +183,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "kmap":
         x, y = Word.parse(args.x, p), Word.parse(args.y, p)
         k = build_swap(x, y, args.max_step)
+        if args.subcommand != "apply" and k.table_letters > args.max_cells:
+            raise ResourceLimitError(f"the piece table would hold more than {args.max_cells} letters")
         if args.subcommand == "build":
             _emit(k.to_json(), fmt)
         elif args.subcommand == "verify":
@@ -189,6 +200,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "ratio" and args.subcommand == "values":
+        _printable(args.max_len, lambda: p.branching ** args.max_len,
+                   f"{p.branching}**{args.max_len} has too many digits to print")
         values = realized_rn_values(p, args.max_len, args.depth)
         ordered = [str(v) for v in sorted(values)]
         _emit(ordered, fmt, text_lines=ordered)

@@ -4,7 +4,7 @@ A cylinder is the set of infinite reduced words extending a fixed finite
 word; the empty word gives the whole boundary.  The distinguished
 probability measure splits the total mass evenly over the ``degree``
 depth-one cylinders and then evenly over the ``branching`` children at
-every deeper level, so a depth-m cylinder has mass
+every deeper level, so a depth-m cylinder has mass ``1/sphere_size(m)``,
 ``(1/degree) * (1/branching)**(m-1)``.  All measures are exact rationals;
 no floating point enters any computation here.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .words import Presentation, Word
+from .words import Presentation, Word, sphere_size
 
 
 @dataclass(frozen=True)
@@ -46,41 +46,20 @@ class Cylinder:
 
     @property
     def measure(self) -> Fraction:
-        p = self.presentation
-        if self.depth == 0:
-            return Fraction(1)
-        return Fraction(1, p.degree) * Fraction(1, p.branching) ** (self.depth - 1)
-
-    def allowed_codes(self) -> list[int]:
-        """Letter codes that extend the base to a reduced word."""
-        return _allowed_codes(self.presentation, self.base.codes)
+        return Fraction(1, sphere_size(self.presentation, self.depth))
 
     def children(self) -> tuple["Cylinder", ...]:
-        return tuple(Cylinder(self.base.append_code(z)) for z in self.allowed_codes())
+        p, codes = self.presentation, self.base.codes
+        return tuple(Cylinder(Word(p, codes + (z,))) for z in p.followers(codes))
 
     def descendants(self, depth: int) -> list["Cylinder"]:
-        """All sub-cylinders at the given absolute depth (>= own depth)."""
-        if depth < self.depth:
-            raise ValueError("target depth is above this cylinder")
-        level = [self]
-        for _ in range(depth - self.depth):
-            level = [child for cyl in level for child in cyl.children()]
-        return level
+        """All sub-cylinders at the given absolute depth (>= own depth), in
+        lexicographic order."""
+        p = self.presentation
+        return [Cylinder(Word(p, codes)) for codes in p.extensions(self.base.codes, depth)]
 
     def __str__(self) -> str:
         return str(self.base)
-
-
-def _allowed_codes(p: Presentation, codes: tuple[int, ...]) -> list[int]:
-    if not codes:
-        return list(range(p.degree))
-    forbidden = p.inverse_code(codes[-1])
-    return [z for z in range(p.degree) if z != forbidden]
-
-
-def _children(p: Presentation, codes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Bases of the child cylinders, in lexicographic order."""
-    return [codes + (z,) for z in _allowed_codes(p, codes)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ class CylinderUnion:
             kept.append(base)
             while kept[-1]:
                 parent = kept[-1][:-1]
-                family = _children(p, parent)
+                family = [parent + (z,) for z in p.followers(parent)]
                 if kept[-len(family):] != family:
                     break
                 kept[-len(family):] = [parent]
@@ -169,7 +148,7 @@ class CylinderUnion:
             return CylinderUnion.full(p)
         inner = {b[:i] for b in self._lex for i in range(len(b))}
         prefixes = inner.union(self._lex)
-        outside = [child for q in inner for child in _children(p, q) if child not in prefixes]
+        outside = [child for q in inner for z in p.followers(q) if (child := q + (z,)) not in prefixes]
         return CylinderUnion(p, tuple(Cylinder(Word(p, b)) for b in outside))
 
     def covers_word(self, word: Word) -> bool:
@@ -218,9 +197,9 @@ class BoundaryPoint:
             raise ValueError("cycle must be nonempty")
         p = self.prefix.presentation
         cyc = self.cycle.codes
-        if cyc[0] == p.inverse_code(cyc[-1]):
+        if cyc[0] not in p.followers(cyc):
             raise ValueError("cycle does not repeat reducibly")
-        if self.prefix and cyc[0] == p.inverse_code(self.prefix.last_code):
+        if cyc[0] not in p.followers(self.prefix.codes):
             raise ValueError("prefix does not join the cycle reducibly")
         # primitive cycle
         period = len(cyc)
@@ -275,14 +254,8 @@ def periodic_extension(word: Word) -> BoundaryPoint:
     when one can follow, otherwise the first valid two-letter cycle.
     """
     p = word.presentation
-    after = p.inverse_code(word.last_code) if word else -1
-    for z in range(p.degree):
-        if z != after and z != p.inverse_code(z):
-            return BoundaryPoint(word, Word(p, (z,)))
-    for z1 in range(p.degree):
-        if z1 == after:
-            continue
-        for z2 in range(p.degree):
-            if z2 != z1 and z2 != p.inverse_code(z1):
-                return BoundaryPoint(word, Word(p, (z1, z2)))
-    raise ValueError("no valid cycle exists; the tree does not branch")
+    first = p.followers(word.codes)
+    # a free letter may follow itself; a letter of order two needs a partner
+    free = [z for z in first if z in p.followers((z,))]
+    cycle = free[:1] or [first[0], p.followers(first[:1])[0]]
+    return BoundaryPoint(word, Word(p, tuple(cycle)))

@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .action import act_cylinder, act_point
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
-from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
+from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere, sphere_size
 
 DEFAULT_MAX_STEP = 32
 
@@ -102,12 +102,26 @@ class PiecewiseTranslation:
         element = self.step_element(j)
         return tuple(
             Piece(Cylinder(dom.append_code(z)), element, Cylinder(img.append_code(z)))
-            for z in Cylinder(dom).allowed_codes() if z != corridor_letter
+            for z in self.presentation.followers(dom.codes) if z != corridor_letter
         )
 
     @property
     def step_count(self) -> int:
         return len(self._steps)
+
+    @property
+    def table_letters(self) -> int:
+        """Letters in the domains, elements and images of the forward and backward
+        pieces, without building them: an open swap's step j has ``n - 1`` pieces
+        with domain and image of length ``m + j`` and element of length
+        ``2(m + j - 1)``; a closed swap has one step of ``n`` pieces."""
+        if self.is_identity:
+            return 0
+        n = self.presentation.branching
+        if self.closed:
+            return 2 * n * (2 * (self.m + 1) + len(self.step_element(1)))
+        steps = self._max_step
+        return 4 * (n - 1) * steps * (2 * self.m + steps)
 
     @property
     def is_identity(self) -> bool:
@@ -278,15 +292,9 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     else:
         checks.append(Check("covers_support", _tiles_support(k)))
 
-        n = p.branching
-
-        def expected(j: int) -> Fraction:
-            return Fraction(1, p.degree) * Fraction(1, n) ** (k.m + j - 1)
-
-        hist = k.residual_history()
         residual_ok = all(
-            cx.measure == expected(j) and cy.measure == expected(j)
-            for j, (cx, cy) in enumerate(hist, start=1)
+            cx.measure == cy.measure == Fraction(1, sphere_size(p, k.m + j))
+            for j, (cx, cy) in enumerate(k.residual_history(), start=1)
         )
         checks.append(Check(
             "residual_measures",

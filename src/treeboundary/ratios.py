@@ -44,21 +44,15 @@ def power_exponent(value: Fraction, n: int) -> int | None:
     if value <= 0:
         return None
     num, den = value.numerator, value.denominator
-    if num == 1 and den == 1:
-        return 0
-    if den == 1:
-        k = 0
-        while num % n == 0:
-            num //= n
-            k += 1
-        return k if num == 1 else None
-    if num == 1:
-        k = 0
-        while den % n == 0:
-            den //= n
-            k += 1
-        return -k if den == 1 else None
-    return None
+    if num != 1 and den != 1:
+        return None
+    # the side that is not 1 holds the power, and says its sign
+    rest, sign = (num, 1) if den == 1 else (den, -1)
+    k = 0
+    while rest % n == 0:
+        rest //= n
+        k += 1
+    return sign * k if rest == 1 else None
 
 
 def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fraction]:
@@ -151,11 +145,10 @@ class Witness:
 
 
 def _first_word_starting_with(p: Presentation, first: int, length: int) -> Word:
-    codes = [first]
+    codes = (first,)
     while len(codes) < length:
-        forbidden = p.inverse_code(codes[-1])
-        codes.append(0 if forbidden != 0 else 1)
-    return Word(p, tuple(codes))
+        codes += p.followers(codes)[:1]
+    return Word(p, codes)
 
 
 def _rn_cells(f: CylinderUnion, mover: Word, lam: Fraction) -> tuple[tuple[Cylinder, Fraction], ...]:

@@ -23,7 +23,7 @@ from typing import IO, Mapping
 
 from .action import act_cylinder
 from .cylinders import Cylinder, CylinderUnion
-from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere
+from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere, sphere_size
 
 BLOCK = 1 << 16
 
@@ -110,11 +110,11 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
         raise ResourceLimitError(
             f"{count} draws of depth {depth} ({count * depth} letters) exceed the bound {limit}")
     import numpy as np  # here, so that importing the package does not load numpy
-    degree, n, inverse = p.degree, p.branching, p.inverse_codes
+    degree, n = p.degree, p.branching
     # big-endian letters, so that the bytes of a row sort like its codes
     dtype = np.min_scalar_type(degree - 1).newbyteorder(">")
     row = np.dtype((np.void, depth * dtype.itemsize))
-    succ = np.asarray([[v for v in range(degree) if v != inverse[u]] for u in range(degree)], dtype=dtype)
+    succ = np.asarray([p.followers((u,)) for u in range(degree)], dtype=dtype)
     totals: dict[tuple[int, ...], int] = {}
     for block_index in range(0, (count + BLOCK - 1) // BLOCK):
         lo = block_index * BLOCK
@@ -262,9 +262,8 @@ def chi_square(batch: SampleBatch, m: int) -> tuple[float, int, float]:
     observed = batch.cell_counts(m)
     stat = 0.0
     cells = sphere(p, m)
+    expected = float(Fraction(1, sphere_size(p, m))) * batch.count
     for w in cells:
-        expected = float(Cylinder(w).measure) * batch.count
-        obs = observed.get(w, 0)
-        stat += (obs - expected) ** 2 / expected
+        stat += (observed.get(w, 0) - expected) ** 2 / expected
     dof = len(cells) - 1
     return stat, dof, chi2_q999(dof)

@@ -64,6 +64,28 @@ class Presentation:
         return tuple(self.inverse_code(c) for c in range(self.degree))
 
     @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        # the one statement of the tree's shape: every letter may follow u but
+        # u's inverse; the last row, for the empty word, holds every letter
+        d, inverse = self.degree, self.inverse_codes
+        return tuple(tuple(v for v in range(d) if v != inverse[u]) for u in range(d)) + (tuple(range(d)),)
+
+    def followers(self, codes: tuple[int, ...]) -> tuple[int, ...]:
+        """The letter codes that may extend ``codes`` to a reduced word, ascending
+        (every code for the empty word): the successor table of the boundary shift."""
+        return self._successors[codes[-1] if codes else self.degree]
+
+    def extensions(self, codes: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
+        """Every reduced code tuple of length ``depth`` that starts with ``codes``,
+        in lexicographic order."""
+        if depth < len(codes):
+            raise ValueError(f"depth {depth} is shorter than the {len(codes)} letters given")
+        level = [codes]
+        for _ in range(depth - len(codes)):
+            level = [c + (z,) for c in level for z in self.followers(c)]
+        return level
+
+    @cached_property
     def tokens(self) -> tuple[str, ...]:
         """The token of every letter code, indexed by code."""
         return (tuple(f"a{i}" for i in range(1, self.s + 1))
@@ -185,19 +207,10 @@ def sphere_size(p: Presentation, m: int) -> int:
 
 def sphere(p: Presentation, m: int, limit: int | None = DEFAULT_CELL_LIMIT) -> list[Word]:
     """All reduced words of length ``m``, in lexicographic letter order."""
-    if limit is not None and sphere_size(p, m) > limit:
-        # the size itself may have more digits than Python prints
+    # the size is at least 2**m, so a long length is refused without the power
+    if limit is not None and (m >= limit.bit_length() or sphere_size(p, m) > limit):
         raise ResourceLimitError(f"sphere of length {m} has more than {limit} words")
-    level: list[tuple[int, ...]] = [()]
-    for _ in range(m):
-        nxt = []
-        for codes in level:
-            forbidden = p.inverse_code(codes[-1]) if codes else -1
-            for z in range(p.degree):
-                if z != forbidden:
-                    nxt.append(codes + (z,))
-        level = nxt
-    return [Word(p, codes) for codes in level]
+    return [Word(p, codes) for codes in p.extensions((), m)]
 
 
 def cuntz_krieger_matrix(p: Presentation) -> list[list[int]]:
@@ -208,4 +221,4 @@ def cuntz_krieger_matrix(p: Presentation) -> list[list[int]]:
     i.e. v is not the inverse of u.  Every row sums to degree - 1.
     """
     d = p.degree
-    return [[0 if v == p.inverse_code(u) else 1 for v in range(d)] for u in range(d)]
+    return [[int(v in p.followers((u,))) for v in range(d)] for u in range(d)]

@@ -182,6 +182,49 @@ def test_huge_spheres_exit_3(capsys, argv):
     assert err.startswith("resource bound exceeded: sphere of length 20000 has ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "sphere", "--m", "10000000"],
+    ["group", "sphere", "--m", "10000000", "--count"],
+    ["ergodic", "check", "--m", "10000000"],
+    ["rn", "--g", "a1", "--depth", "10000000"],
+], ids=["sphere", "sphere-count", "ergodic", "rn"])
+def test_huge_spheres_are_refused_without_their_size(capsys, monkeypatch, argv):
+    def refuse(p, m):
+        raise AssertionError("the size of a huge sphere was computed")
+
+    monkeypatch.setattr(treeboundary.words, "sphere_size", refuse)
+    monkeypatch.setattr(treeboundary.cli, "sphere_size", refuse)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, out, err = run(capsys, *argv, "--s", "4", "--t", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource bound exceeded: sphere of length 10000000 has ")
+
+
+def test_ratio_values_too_long_to_print_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, out, err = run(capsys, "ratio", "values", "--s", "3", "--t", "0",
+                         "--max-len", "20000", "--depth", "20001")
+    assert code == 3
+    assert out == ""
+    assert err == "resource bound exceeded: 2**20000 has too many digits to print\n"
+
+
+def test_kmap_honours_max_cells(capsys, monkeypatch):
+    # x = a1, y = a2 on (3,0) at 2 steps: 4 (n-1) S (2m + S) = 32 letters
+    for sub in ("build", "verify"):
+        args = ("kmap", sub, "--s", "3", "--t", "0", "--x", "a1", "--y", "a2", "--max-step", "2")
+        monkeypatch.setattr(fullgroup.PiecewiseTranslation, "_pieces", None)
+        code, out, err = run(capsys, *args, "--max-cells", "31")
+        assert code == 3
+        assert out == ""
+        assert err == "resource bound exceeded: the piece table would hold more than 31 letters\n"
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *args, "--max-cells", "32", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["step_count"] == 2
+
+
 def test_ratio_witness_rejects_non_power(capsys):
     code, _, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "3")
     assert code == 2
@@ -320,7 +363,9 @@ def test_import_leaves_numpy_unloaded():
 # the parser was rebuilt per call, transitivity built every ordered pair and
 # ratio values enumerated: the README's commands and four per presentation;
 # the witnesses (k in +-1..+-4, E the whole boundary or one depth-2 cylinder)
-# while F was refined into cells, one cocycle per cell
+# while F was refined into cells, one cocycle per cell; the last twelve (sphere,
+# a complement image, a swap table and a sample on (1,1), (0,2) and (4,0))
+# while every module stated the successor rule itself
 GOLDEN = {
     "measure --s 3 --t 0 --word 'a1 a2'":
         "190688f99b9226552853e78766a45220f3b4ea22482db6535a2aedabf06facc1",
@@ -504,6 +549,30 @@ GOLDEN = {
         "4340fc19a2fa654bb14bde75143dd216f4407a72d5a3df707307613035ffbc76",
     'ratio witness --s 4 --t 0 --lambda 1/81 --E \'["a3 a1"]\' --format json':
         "747c66f66faf29f5f716c87570143792105e8abd0285f539cc1fea0ffe068eff",
+    'group sphere --s 1 --t 1 --m 3':
+        "9d18806e630605295fa9714afdb42b9c349e21ce950fd314734183d475cb7510",
+    'act --s 1 --t 1 --g \'b1 a1\' --word "a1 b1\'"':
+        "e1788b3e88571e115ac8693e376d38e8061578f736e2be4ab3a29e3ffb11d97b",
+    "kmap build --s 1 --t 1 --x 'a1 b1' --y 'b1 a1' --max-step 3 --format json":
+        "03039ac503344104d20f337c13570cc9d28bcdce0dccc60e143dce9c6d54b917",
+    'sample --s 1 --t 1 --depth 6 --n-samples 200 --seed 3 --format json':
+        "876a5569f559f8d5871de1356f3775e278d73cefbb90797a746896cc1c474c34",
+    'group sphere --s 0 --t 2 --m 3':
+        "4dcba8879dc391ef8d479ebe3e3e2c4bece3bca7d1c63b9413c549a4af3c67c5",
+    'act --s 0 --t 2 --g \'b2 b1\' --word "b1\' b2\'"':
+        "75835e3b32804d374d629e342f5db858d6a2e73c2fc4a130177bebc0f8e40fa5",
+    'kmap build --s 0 --t 2 --x \'b1 b2\' --y "b2\' b1" --max-step 3 --format json':
+        "ad2af506c6340fdca22724637e9e63d1bb4b83565e559d004449479a4903c40e",
+    'sample --s 0 --t 2 --depth 6 --n-samples 200 --seed 3 --format json':
+        "a3c91ad31a71ff1e303e52e1ba1827124e00d4a86b0af365dcc07a4962982c5a",
+    'group sphere --s 4 --t 0 --m 3':
+        "f12a3f9c40a1e6606099b38a7ff581da0a1243c02dde7e8ca759f32f10ae6143",
+    "act --s 4 --t 0 --g 'a2 a3' --word 'a3 a2'":
+        "283c096267528a41165a4074cd6b46415c5b7939f7a159a7623aca9d892c815a",
+    "kmap build --s 4 --t 0 --x 'a1 a2' --y 'a3 a4' --max-step 3 --format json":
+        "7e53ddf15f8e999cf6be78a3e62bc9ef721c31d08ad0dcf321ae7f8a01c86d89",
+    'sample --s 4 --t 0 --depth 6 --n-samples 200 --seed 3 --format json':
+        "16c56e00e348ec3550798780e3a3e90059fef9e2f58bc3bb4f63f0f0782f4300",
 }
 
 

@@ -41,6 +41,8 @@ def test_children_examples():
     root = cyl("e")
     assert len(root.children()) == P30.degree
     assert sum(c.measure for c in cyl("a1").children()) == Fraction(1, 3)
+    with pytest.raises(ValueError):
+        cyl("a1 a2").descendants(1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

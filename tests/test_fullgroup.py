@@ -97,7 +97,7 @@ def test_step_exclusions_follow_parity():
     dom1 = {pc.domain.base.codes[-1] for pc in k.pieces_at_step(1)}
     assert dom1 == set(range(p.degree)) - {p.inverse_code(x.last_code), p.inverse_code(y.last_code)}
     dom2 = {pc.domain.base.codes[-1] for pc in k.pieces_at_step(2)}
-    allowed2 = set(Cylinder(k.residual_history()[0][0].base).allowed_codes())
+    allowed2 = set(p.followers(k.residual_history()[0][0].base.codes))
     assert dom2 == allowed2 - {x.last_code, y.last_code}
 
 
@@ -181,7 +181,7 @@ def test_apply_agrees_with_the_piece_table():
                 for d in range(len(history)):
                     base = head if d == 0 else history[d - 1][side].base
                     corridor_next = history[d][side].base.last_code
-                    for z in Cylinder(base).allowed_codes():
+                    for z in p.followers(base.codes):
                         if z != corridor_next:
                             points.append(periodic_extension(base.append_code(z)))
             pieces = k.forward_pieces() + k.backward_pieces()
@@ -345,6 +345,18 @@ def test_star_builds_one_swap_per_other_word(monkeypatch, presentation, m):
     assert transitivity_check(presentation, m)
     words = sphere(presentation, m)
     assert built == [(words[0], y) for y in words[1:]]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_table_letters_count_the_piece_table(presentation, steps):
+    for m in (1, 2):
+        words = sphere(presentation, m)
+        for x in words[:3]:
+            for y in words:
+                k = build_swap(x, y, steps)
+                letters = sum(len(pc.domain.base) + len(pc.element) + len(pc.image.base)
+                              for pc in k.forward_pieces() + k.backward_pieces())
+                assert k.table_letters == letters, (str(x), str(y))
 
 
 def test_build_swap_validation():

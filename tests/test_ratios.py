@@ -29,6 +29,7 @@ def test_power_exponent():
     assert power_exponent(Fraction(1, 9), 3) == -2
     assert power_exponent(Fraction(1), 2) == 0
     assert power_exponent(Fraction(6), 2) is None
+    assert power_exponent(Fraction(1, 6), 2) is None
     assert power_exponent(Fraction(2, 3), 2) is None
     assert power_exponent(Fraction(0), 2) is None
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeboundary import (
+    Cylinder,
     Presentation,
     ResourceLimitError,
     Word,
@@ -137,7 +138,34 @@ def test_sphere_matches_brute_force(presentation, m):
     words = sphere(presentation, m)
     assert len(words) == sphere_size(presentation, m)
     assert len(set(words)) == len(words)
-    assert {w.codes for w in words} == set(brute_force_sphere(presentation, m))
+    brute = brute_force_sphere(presentation, m)
+    assert {w.codes for w in words} == set(brute)
+    # the cells below a prefix, in lexicographic order
+    for j in range(min(m, 2) + 1):
+        for prefix in brute_force_sphere(presentation, j):
+            cells = Cylinder(Word(presentation, prefix)).descendants(m)
+            assert [c.base.codes for c in cells] == [codes for codes in brute if codes[:j] == prefix]
+
+
+def test_one_word_per_cell(monkeypatch, presentation):
+    built = []
+    post_init = Word.__post_init__
+
+    def counting(word):
+        built.append(word.codes)
+        post_init(word)
+
+    root, first = Cylinder(presentation.identity()), Cylinder(presentation.generator(0))
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    for m in range(5):
+        built.clear()
+        words = sphere(presentation, m)
+        assert built == [w.codes for w in words]
+        for c in (root, first):
+            if m >= c.depth:
+                built.clear()
+                cells = c.descendants(m)
+                assert built == [cell.base.codes for cell in cells]
 
 
 def test_sphere_is_lexicographic_and_nested(presentation):
