@@ -40,8 +40,8 @@ def _cancellation(g: Word, w: Word) -> int:
     """Number of leading letters of ``w`` cancelled in the product ``g * w``."""
     if g.presentation != w.presentation:
         raise ValueError("words from different presentations")
-    c, inverse = 0, g.presentation.inverse_code
-    while c < min(len(g), len(w)) and g.codes[-1 - c] == inverse(w.codes[c]):
+    c, inverse = 0, g.presentation.inverse_codes
+    while c < min(len(g), len(w)) and g.codes[-1 - c] == inverse[w.codes[c]]:
         c += 1
     return c
 
@@ -126,12 +126,10 @@ def rn_table(g: Word, depth: int, limit: int | None = DEFAULT_CELL_LIMIT) -> RNT
 
 def cyclic_core(g: Word) -> tuple[Word, Word]:
     """Write g as u * core * ~u with the core cyclically reduced."""
-    p = g.presentation
-    codes = g.codes
-    k = 0
-    while len(codes) - 2 * k >= 2 and codes[k] == p.inverse_code(codes[len(codes) - 1 - k]):
+    codes, inverse, k = g.codes, g.presentation.inverse_codes, 0
+    while len(codes) - 2 * k >= 2 and codes[k] == inverse[codes[len(codes) - 1 - k]]:
         k += 1
-    return Word(p, codes[:k]), Word(p, codes[k:len(codes) - k])
+    return g.prefix(k), Word._reduced(g.presentation, codes[k:len(codes) - k])  # a subword of g
 
 
 def fixed_points(g: Word) -> frozenset[BoundaryPoint]:

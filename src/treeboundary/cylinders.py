@@ -50,13 +50,13 @@ class Cylinder:
 
     def children(self) -> tuple["Cylinder", ...]:
         p, codes = self.presentation, self.base.codes
-        return tuple(Cylinder(Word(p, codes + (z,))) for z in p.followers(codes))
+        return tuple(Cylinder(Word._reduced(p, codes + (z,))) for z in p.followers(codes))
 
     def descendants(self, depth: int) -> list["Cylinder"]:
         """All sub-cylinders at the given absolute depth (>= own depth), in
         lexicographic order."""
         p = self.presentation
-        return [Cylinder(Word(p, codes)) for codes in p.extensions(self.base.codes, depth)]
+        return [Cylinder(Word._reduced(p, codes)) for codes in p.extensions(self.base.codes, depth)]
 
     def __str__(self) -> str:
         return str(self.base)
@@ -93,7 +93,7 @@ class CylinderUnion:
                     break
                 kept[-len(family):] = [parent]
         # a stable sort by length turns lexicographic order into shortlex
-        canonical = tuple(given[b] if b in given else Cylinder(Word(p, b)) for b in sorted(kept, key=len))
+        canonical = tuple(given[b] if b in given else Cylinder(Word._reduced(p, b)) for b in sorted(kept, key=len))
         object.__setattr__(self, "cylinders", canonical)
         object.__setattr__(self, "_lex", tuple(kept))
 
@@ -149,7 +149,7 @@ class CylinderUnion:
         inner = {b[:i] for b in self._lex for i in range(len(b))}
         prefixes = inner.union(self._lex)
         outside = [child for q in inner for z in p.followers(q) if (child := q + (z,)) not in prefixes]
-        return CylinderUnion(p, tuple(Cylinder(Word(p, b)) for b in outside))
+        return CylinderUnion(p, tuple(Cylinder(Word._reduced(p, b)) for b in outside))
 
     def covers_word(self, word: Word) -> bool:
         """Whether every boundary word with this finite prefix lies inside.
@@ -213,8 +213,9 @@ class BoundaryPoint:
         while pre and pre[-1] == cyc[-1]:
             pre = pre[:-1]
             cyc = cyc[-1:] + cyc[:-1]
-        object.__setattr__(self, "prefix", Word(p, pre))
-        object.__setattr__(self, "cycle", Word(p, cyc))
+        # a prefix of the given prefix, and a rotation of a cyclically reduced cycle
+        object.__setattr__(self, "prefix", Word._reduced(p, pre))
+        object.__setattr__(self, "cycle", Word._reduced(p, cyc))
 
     @property
     def presentation(self) -> Presentation:

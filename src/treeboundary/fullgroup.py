@@ -74,12 +74,12 @@ class PiecewiseTranslation:
         self.m = len(x)
         self.presentation = p = x.presentation
         a, b = x.last_code, y.last_code
-        # the two letters each corridor repeats: after x, then after y
+        # the two letters each corridor repeats, after x and after y: reduced cycles when a != b
         self._corridors = ((p.inverse_code(b), a), (p.inverse_code(a), b))
         self.closed = a == b
         self.exceptional: dict[BoundaryPoint, BoundaryPoint] = {}
         if not self.closed:
-            ends = [BoundaryPoint(head, Word(p, pair)) for head, pair in zip((x, y), self._corridors)]
+            ends = [BoundaryPoint(head, Word._reduced(p, pair)) for head, pair in zip((x, y), self._corridors)]
             self.exceptional = {ends[0]: ends[1], ends[1]: ends[0]}
         self._max_step = max_step
 
@@ -91,10 +91,10 @@ class PiecewiseTranslation:
         return tuple(self._pieces(j) for j in range(1, steps + 1))
 
     def _head(self, side: int, n: int) -> Word:
-        """x (side 0) or y (side 1) followed by the first n letters of its corridor."""
+        """x (side 0) or y (side 1) then the first n letters of its corridor, a path that never backtracks."""
         first, second = self._corridors[side]
         letters = (first, second) * (n // 2) + (first,) * (n % 2)
-        return Word(self.presentation, (self.x, self.y)[side].codes + letters)
+        return Word._reduced(self.presentation, (self.x, self.y)[side].codes + letters)
 
     def _pieces(self, j: int) -> tuple[Piece, ...]:
         dom, img = self._head(0, j - 1), self._head(1, j - 1)

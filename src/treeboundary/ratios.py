@@ -59,6 +59,8 @@ def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fractio
     """All scaling values of elements up to ``max_len`` on depth-``depth`` cells:
     ``n**k`` for ``|k| <= max_len``, since a length-l element scales its cells
     by ``n**(2c - l)`` for every cancellation length c in 0..l."""
+    if max_len < 0:
+        raise ValueError("the maximal element length must be nonnegative")
     if depth <= max_len:
         raise ValueError("depth must exceed the maximal element length")
     n = Fraction(p.branching)

@@ -70,7 +70,7 @@ class SampleBatch:
         for w, c in self.counts.items():
             key = w.codes[:m]
             cells[key] = cells.get(key, 0) + c
-        return {Word(self.presentation, key): c for key, c in cells.items()}
+        return {Word._reduced(self.presentation, key): c for key, c in cells.items()}
 
     def write_csv(self, fp: IO[str]) -> None:
         for w in sorted(self.counts, key=lambda w: (len(w), w.codes)):
@@ -117,8 +117,7 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
     succ = np.asarray([p.followers((u,)) for u in range(degree)], dtype=dtype)
     totals: dict[tuple[int, ...], int] = {}
     for block_index in range(0, (count + BLOCK - 1) // BLOCK):
-        lo = block_index * BLOCK
-        size = min(BLOCK, count - lo)
+        size = min(BLOCK, count - block_index * BLOCK)
         key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(block_index)])
         rng = np.random.Generator(np.random.Philox(key=key))
         codes = np.empty((size, depth), dtype=dtype)
@@ -136,8 +135,8 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
             keys = map(tuple, rows.view(dtype).reshape(-1, depth).tolist())
         for key_t, c in zip(keys, cnt.tolist()):
             totals[key_t] = totals.get(key_t, 0) + c
-    words = {Word(p, codes_t): c for codes_t, c in totals.items()}
-    return SampleBatch(p, depth, count, seed, words)
+    # every row is a path through the successor table, so reduced by construction
+    return SampleBatch(p, depth, count, seed, {Word._reduced(p, key_t): c for key_t, c in totals.items()})
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,9 @@ class Presentation:
 
 
 def _reduce_codes(codes: Iterable[int], p: Presentation) -> tuple[int, ...]:
-    stack: list[int] = []
+    inverse, stack = p.inverse_codes, []
     for c in codes:
-        if stack and stack[-1] == p.inverse_code(c):
+        if stack and stack[-1] == inverse[c]:
             stack.pop()
         else:
             stack.append(c)
@@ -132,6 +132,8 @@ class Word:
 
     Words are immutable values with structural equality, so they can key
     dictionaries and sets.  ``*`` multiplies (with reduction) and ``~`` inverts.
+    Letters are checked in ``Word(p, codes)``, ``parse``, ``generator`` and ``append_code``;
+    words the library builds reduced by construction are not checked again.
     """
 
     presentation: Presentation
@@ -148,6 +150,14 @@ class Word:
                 raise ValueError("word is not reduced")
             forbidden = inverse[c]
 
+    @classmethod
+    def _reduced(cls, p: Presentation, codes: tuple[int, ...]) -> "Word":
+        """The word over codes already known to be reduced, unchecked."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "presentation", p)
+        object.__setattr__(word, "codes", codes)
+        return word
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -157,11 +167,11 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.presentation != other.presentation:
             raise ValueError("words from different presentations")
-        return Word(self.presentation, _reduce_codes(self.codes + other.codes, self.presentation))
+        return Word._reduced(self.presentation, _reduce_codes(self.codes + other.codes, self.presentation))
 
     def __invert__(self) -> "Word":
-        p = self.presentation
-        return Word(p, tuple(p.inverse_code(c) for c in reversed(self.codes)))
+        inverse = self.presentation.inverse_codes
+        return Word._reduced(self.presentation, tuple(inverse[c] for c in reversed(self.codes)))
 
     def startswith(self, other: "Word") -> bool:
         return self.presentation == other.presentation and self.codes[: len(other.codes)] == other.codes
@@ -173,7 +183,7 @@ class Word:
         return self.codes[-1]
 
     def prefix(self, m: int) -> "Word":
-        return Word(self.presentation, self.codes[:m])
+        return Word._reduced(self.presentation, self.codes[:m])
 
     def append_code(self, code: int) -> "Word":
         return Word(self.presentation, self.codes + (code,))
@@ -210,7 +220,7 @@ def sphere(p: Presentation, m: int, limit: int | None = DEFAULT_CELL_LIMIT) -> l
     # the size is at least 2**m, so a long length is refused without the power
     if limit is not None and (m >= limit.bit_length() or sphere_size(p, m) > limit):
         raise ResourceLimitError(f"sphere of length {m} has more than {limit} words")
-    return [Word(p, codes) for codes in p.extensions((), m)]
+    return [Word._reduced(p, codes) for codes in p.extensions((), m)]
 
 
 def cuntz_krieger_matrix(p: Presentation) -> list[list[int]]:

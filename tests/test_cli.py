@@ -210,6 +210,14 @@ def test_ratio_values_too_long_to_print_exit_3(capsys, monkeypatch):
     assert err == "resource bound exceeded: 2**20000 has too many digits to print\n"
 
 
+def test_ratio_values_negative_max_len_exit_2(capsys):
+    code, out, err = run(capsys, "ratio", "values", "--s", "3", "--t", "0",
+                         "--max-len", "-3", "--depth", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: the maximal element length must be nonnegative\n"
+
+
 def test_kmap_honours_max_cells(capsys, monkeypatch):
     # x = a1, y = a2 on (3,0) at 2 steps: 4 (n-1) S (2m + S) = 32 letters
     for sub in ("build", "verify"):

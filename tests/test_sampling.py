@@ -184,6 +184,20 @@ def test_degree_above_255(st):
     assert sum(first.values()) == 5000 and len(first) <= p.degree
 
 
+@pytest.mark.parametrize("st,depth", [((3, 0), 80), ((300, 0), 3)])
+def test_sample_checks_no_word_again(monkeypatch, st, depth):
+    # every drawn row is reduced by construction, so no Word is checked again
+    p, checked = Presentation(*st), []
+    post_init = Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__", lambda word: (checked.append(word), post_init(word)))
+    batch = sample(p, depth, 1500, seed=4)
+    cells = batch.cell_counts(1)
+    assert checked == []
+    monkeypatch.undo()
+    for w in [*batch.counts, *cells]:
+        assert all(type(c) is int for c in w.codes) and Word(p, w.codes) == w
+
+
 def test_sample_refuses_batches_above_the_limit():
     with pytest.raises(ResourceLimitError):
         sample(P30, 10, 11, seed=0, limit=109)

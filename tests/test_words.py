@@ -5,15 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from treeboundary import (
     Cylinder,
+    CylinderUnion,
     Presentation,
     ResourceLimitError,
     Word,
     cuntz_krieger_matrix,
+    sample,
     sphere,
     sphere_size,
 )
 
-from conftest import PRESENTATIONS, brute_force_sphere, naive_reduce, random_reduced_word
+from conftest import PRESENTATIONS, brute_force_sphere, naive_reduce, random_reduced_word, random_union
 
 P30 = Presentation(3, 0)
 P11 = Presentation(1, 1)
@@ -82,6 +84,13 @@ def test_word_checks_letter_by_letter():
         Word(P02, (-1,))
     with pytest.raises(ValueError, match="word is not reduced"):
         Word(P02, (2, 3, 1))  # b2 then b2'
+    # append_code checks the new letter the same way
+    with pytest.raises(ValueError, match="letter code 3 out of range"):
+        Word(P30, (0,)).append_code(3)
+    with pytest.raises(ValueError, match="letter code -1 out of range"):
+        Word(P02, (2,)).append_code(-1)
+    with pytest.raises(ValueError, match="word is not reduced"):
+        Word(P02, (2,)).append_code(3)
     assert P02.inverse_codes == (1, 0, 3, 2)
     assert P11.inverse_codes == (0, 2, 1)
 
@@ -149,14 +158,19 @@ def test_sphere_matches_brute_force(presentation, m):
 
 def test_one_word_per_cell(monkeypatch, presentation):
     built = []
-    post_init = Word.__post_init__
+    post_init, reduced = Word.__post_init__, Word._reduced
 
     def counting(word):
         built.append(word.codes)
         post_init(word)
 
+    def counting_reduced(cls, p, codes):
+        built.append(codes)
+        return reduced(p, codes)
+
     root, first = Cylinder(presentation.identity()), Cylinder(presentation.generator(0))
     monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "_reduced", classmethod(counting_reduced))
     for m in range(5):
         built.clear()
         words = sphere(presentation, m)
@@ -166,6 +180,44 @@ def test_one_word_per_cell(monkeypatch, presentation):
                 built.clear()
                 cells = c.descendants(m)
                 assert built == [cell.base.codes for cell in cells]
+
+
+def pass_the_check(words) -> bool:
+    """Whether the public constructor accepts every word unchanged: plain int
+    letters, each in range and none next to its inverse."""
+    return all(all(type(c) is int for c in w.codes) and Word(w.presentation, w.codes) == w
+               for w in words)
+
+
+def test_words_built_by_construction_pass_the_check(presentation):
+    p, rng = presentation, random.Random(17)
+    for m in range(5):
+        assert pass_the_check(sphere(p, m))
+    for w in sphere(p, 2):
+        assert pass_the_check(cell.base for cell in Cylinder(w).children())
+        assert pass_the_check(cell.base for cell in Cylinder(w).descendants(5))
+    for _ in range(40):
+        union = random_union(rng, p, max_depth=4)
+        # the grandchildren of a cylinder normalise to it through its children
+        top = Cylinder(random_reduced_word(rng, p, rng.randrange(0, 3)))
+        family = CylinderUnion(p, tuple(d for c in top.children() for d in c.children()))
+        assert family.cylinders == (top,)
+        for u in (union, family, union.complement(), family.complement(), CylinderUnion.empty(p).complement()):
+            assert pass_the_check(cyl.base for cyl in u)
+    batch = sample(p, 80, 1500, seed=12)
+    assert pass_the_check(batch.counts)
+    for m in (0, 1, 5, 80):
+        assert pass_the_check(batch.cell_counts(m))
+
+
+@given(letter_codes(), st.data())
+def test_products_and_inverses_pass_the_check(data, more):
+    p, codes = data
+    a = parse_codes(codes, p)
+    b = parse_codes(more.draw(st.lists(st.integers(0, p.degree - 1), max_size=24)), p)
+    prod = a * b
+    assert pass_the_check([prod, ~a, ~prod, a * ~a, prod.prefix(len(prod) // 2)])
+    assert ~a == parse_codes(tuple(p.inverse_code(c) for c in reversed(a.codes)), p)
 
 
 def test_sphere_is_lexicographic_and_nested(presentation):
