@@ -209,7 +209,11 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "ratio" and args.subcommand == "witness":
         ambient = CylinderUnion.parse(p, json.loads(args.ambient))
-        witness = find_witness(Fraction(args.lam), ambient, p)
+        try:
+            lam = Fraction(args.lam)
+        except ZeroDivisionError:
+            raise ValueError(f"--lambda {args.lam} has a zero denominator") from None
+        witness = find_witness(lam, ambient, p)
         if witness.rn_check_count > args.max_cells:
             raise ResourceLimitError(f"rn_checks would list more than {args.max_cells} cells")
         _emit(witness.to_json(), fmt)

@@ -87,8 +87,7 @@ class PiecewiseTranslation:
 
     @cached_property
     def _steps(self) -> tuple[tuple[Piece, ...], ...]:
-        steps = 0 if self.is_identity else 1 if self.closed else self._max_step
-        return tuple(self._pieces(j) for j in range(1, steps + 1))
+        return tuple(self._pieces(j) for j in range(1, self.step_count + 1))
 
     def _head(self, side: int, n: int) -> Word:
         """x (side 0) or y (side 1) then the first n letters of its corridor, a path that never backtracks."""
@@ -99,15 +98,18 @@ class PiecewiseTranslation:
     def _pieces(self, j: int) -> tuple[Piece, ...]:
         dom, img = self._head(0, j - 1), self._head(1, j - 1)
         corridor_letter = self._corridors[0][(j - 1) % 2]
-        element = self.step_element(j)
+        element, p = self.step_element(j), self.presentation
+        # z follows the x-head and is not the corridor letter, so it also follows the y-head
         return tuple(
-            Piece(Cylinder(dom.append_code(z)), element, Cylinder(img.append_code(z)))
-            for z in self.presentation.followers(dom.codes) if z != corridor_letter
+            Piece(Cylinder(Word._reduced(p, dom.codes + (z,))), element, Cylinder(Word._reduced(p, img.codes + (z,))))
+            for z in p.followers(dom.codes) if z != corridor_letter
         )
 
     @property
     def step_count(self) -> int:
-        return len(self._steps)
+        """Steps in the piece table, without building it: none for the identity,
+        one when the swap closes, ``max_step`` otherwise."""
+        return 0 if self.is_identity else 1 if self.closed else self._max_step
 
     @property
     def table_letters(self) -> int:
@@ -120,8 +122,7 @@ class PiecewiseTranslation:
         n = self.presentation.branching
         if self.closed:
             return 2 * n * (2 * (self.m + 1) + len(self.step_element(1)))
-        steps = self._max_step
-        return 4 * (n - 1) * steps * (2 * self.m + steps)
+        return 4 * (n - 1) * self.step_count * (2 * self.m + self.step_count)
 
     @property
     def is_identity(self) -> bool:
@@ -257,7 +258,8 @@ def _tiles_support(k: PiecewiseTranslation) -> bool:
     fwd = k.forward_pieces()
     cover_x = CylinderUnion(p, tuple(pc.domain for pc in fwd) + extra_dom)
     cover_y = CylinderUnion(p, tuple(pc.image for pc in fwd) + extra_img)
-    return cover_x == CylinderUnion(p, (Cylinder(k.x),)) and cover_y == CylinderUnion(p, (Cylinder(k.y),))
+    # one cylinder is a canonical union: every sibling family has two members or more
+    return cover_x.cylinders == (Cylinder(k.x),) and cover_y.cylinders == (Cylinder(k.y),)
 
 
 def verify_swap(k: PiecewiseTranslation) -> SwapReport:
@@ -267,52 +269,41 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     pairwise disjoint; each piece preserves measure; the pieces plus the
     residual corridor tile the two swapped cylinders exactly; the
     corridor shrinks by exactly one branching factor per step; and every
-    piece genuinely acts by its single group element (so the swap agrees
-    with a translation wherever it is defined).
+    piece genuinely acts by its single group element, both ways (so the
+    swap agrees with a translation wherever it is defined).
     """
-    p = k.presentation
-    checks: list[Check] = []
     fwd = k.forward_pieces()
-    bwd = k.backward_pieces()
-
-    checks.append(Check(
-        "domains_disjoint",
-        _pairwise_disjoint([pc.domain for pc in fwd]) and _pairwise_disjoint([pc.domain for pc in bwd]),
-    ))
-    checks.append(Check(
-        "images_disjoint",
-        _pairwise_disjoint([pc.image for pc in fwd]) and _pairwise_disjoint([pc.image for pc in bwd]),
-    ))
-
-    mp = all(pc.domain.measure == pc.image.measure for pc in fwd + bwd)
-    checks.append(Check("pieces_preserve_measure", mp))
+    # the backward pieces are the forward ones read the other way (image, inverse
+    # element, domain), so both disjointness checks test the same two lists
+    disjoint = _pairwise_disjoint([pc.domain for pc in fwd]) and _pairwise_disjoint([pc.image for pc in fwd])
+    checks = [
+        Check("domains_disjoint", disjoint),
+        Check("images_disjoint", disjoint),
+        Check("pieces_preserve_measure", all(pc.domain.measure == pc.image.measure for pc in fwd)),
+    ]
 
     if k.is_identity:
-        checks.append(Check("covers_support", not fwd and not bwd, "identity swap has no pieces"))
+        checks.append(Check("covers_support", not fwd, "identity swap has no pieces"))
     else:
         checks.append(Check("covers_support", _tiles_support(k)))
-
         residual_ok = all(
-            cx.measure == cy.measure == Fraction(1, sphere_size(p, k.m + j))
+            cx.measure == cy.measure == Fraction(1, sphere_size(k.presentation, k.m + j))
             for j, (cx, cy) in enumerate(k.residual_history(), start=1)
         )
-        checks.append(Check(
-            "residual_measures",
-            residual_ok,
-            "geometric decay with ratio 1/branching" if residual_ok else "unexpected residual mass",
-        ))
+        detail = "geometric decay with ratio 1/branching" if residual_ok else "unexpected residual mass"
+        checks.append(Check("residual_measures", residual_ok, detail))
 
+    # each image must be exactly the one cylinder, a canonical union as it stands
     translation_ok = all(
-        act_cylinder(pc.element, pc.domain) == CylinderUnion(p, (pc.image,))
-        for pc in fwd + bwd
+        act_cylinder(pc.element, pc.domain).cylinders == (pc.image,)
+        and act_cylinder(~pc.element, pc.image).cylinders == (pc.domain,)
+        for pc in fwd
     )
     checks.append(Check("pieces_act_by_group_elements", translation_ok))
-
     return SwapReport(str(k.x), str(k.y), k.step_count, tuple(checks))
 
 
-def transitivity_check(p: Presentation, m: int, max_step: int = 2,
-                       limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
+def transitivity_check(p: Presentation, m: int, limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
     """Whether the swaps carry every depth-m cylinder onto every other.
 
     Certified by the swaps from the first depth-m cylinder onto each other
@@ -327,7 +318,8 @@ def transitivity_check(p: Presentation, m: int, max_step: int = 2,
         return True
     first, *others = sphere(p, m, limit)
     for y in others:
-        k = build_swap(first, y, max_step)
+        # two steps exclude each corridor letter once
+        k = build_swap(first, y, 2)
         measure_ok = all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces())
         if not (measure_ok and _tiles_support(k)):
             return False

@@ -158,6 +158,9 @@ class Word:
         object.__setattr__(word, "codes", codes)
         return word
 
+    def __hash__(self) -> int:
+        return hash(self.codes)  # equal words have equal codes; __eq__ still compares the presentation
+
     def __len__(self) -> int:
         return len(self.codes)
 

@@ -239,6 +239,13 @@ def test_ratio_witness_rejects_non_power(capsys):
     assert "power" in err
 
 
+def test_ratio_witness_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err == "invalid input: --lambda 1/0 has a zero denominator\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "--s", "3", "--t", "0", "--union"],
     ["ratio", "witness", "--s", "3", "--t", "0", "--lambda", "2", "--E"],

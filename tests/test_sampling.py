@@ -166,7 +166,7 @@ def test_deep_batches_do_not_overflow(st, depth):
     p = Presentation(*st)
     batch = sample(p, depth, 1500, seed=6)
     assert sum(batch.counts.values()) == 1500
-    assert all(len(w) == depth for w in batch.counts)  # Word rejects unreduced codes
+    assert all(len(w) == depth for w in batch.counts)  # reducedness: test_words checks sampler words
     assert batch.frequency(CylinderUnion.full(p)) == 1
 
 

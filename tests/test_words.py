@@ -9,6 +9,7 @@ from treeboundary import (
     Presentation,
     ResourceLimitError,
     Word,
+    build_swap,
     cuntz_krieger_matrix,
     sample,
     sphere,
@@ -208,6 +209,12 @@ def test_words_built_by_construction_pass_the_check(presentation):
     assert pass_the_check(batch.counts)
     for m in (0, 1, 5, 80):
         assert pass_the_check(batch.cell_counts(m))
+    # swap domains and images, open and closed
+    ones, twos = sphere(p, 1), sphere(p, 2)
+    for x, y in [(ones[0], ones[-1])] + [(twos[0], v) for v in twos[1:]]:
+        for steps in range(1, 6):
+            pieces = build_swap(x, y, steps).forward_pieces()
+            assert pieces and pass_the_check(c.base for pc in pieces for c in (pc.domain, pc.image))
 
 
 @given(letter_codes(), st.data())
@@ -218,6 +225,21 @@ def test_products_and_inverses_pass_the_check(data, more):
     prod = a * b
     assert pass_the_check([prod, ~a, ~prod, a * ~a, prod.prefix(len(prod) // 2)])
     assert ~a == parse_codes(tuple(p.inverse_code(c) for c in reversed(a.codes)), p)
+
+
+def test_words_hash_by_their_codes():
+    for p in PRESENTATIONS:
+        for w in sphere(p, 3):
+            parsed, public = Word.parse(str(w), p), Word(p, w.codes)
+            assert hash(w) == hash(parsed) == hash(public)
+            counts = {w: 1}
+            counts[parsed] += 1
+            counts[public] += 1
+            assert counts == {w: 3}
+    # the same codes in two presentations stay distinct keys
+    a, b = Word(P30, (0, 1)), Word(Presentation(4, 0), (0, 1))
+    assert a != b and hash(a) == hash(b)
+    assert len({a: 0, b: 1}) == 2
 
 
 def test_sphere_is_lexicographic_and_nested(presentation):
