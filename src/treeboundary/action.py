@@ -30,8 +30,7 @@ def act_point(g: Word, point: BoundaryPoint) -> BoundaryPoint:
     codes = point.prefix.codes
     cycle = point.cycle.codes
     # unroll far enough that reduction cannot reach into the repeating part
-    while len(codes) <= len(g):
-        codes = codes + cycle
+    codes += cycle * max(0, (len(g) - len(codes)) // len(cycle) + 1)
     moved = g * Word(g.presentation, codes)
     return BoundaryPoint(moved, point.cycle)
 

@@ -1,13 +1,19 @@
 """Command-line surface: one subcommand per operation, deterministic output.
 
+Each branch of ``_run`` only computes a payload and its text lines; one tail
+prints them.  Every printed number that grows with the input first passes one
+digit gate, ``_printable``, which refuses it before it is computed when it has
+more digits than Python converts to a string.
+
 Exit codes: 0 on success, 2 on validation errors (including bad flags),
-3 when a resource bound is exceeded.
+3 when a resource bound is exceeded, a number too long to print among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -21,6 +27,7 @@ from .words import (
     DEFAULT_CELL_LIMIT,
     Presentation,
     ResourceLimitError,
+    clip,
     cuntz_krieger_matrix,
     sphere,
     sphere_size,
@@ -110,141 +117,122 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(payload, fmt: str, text_lines=None) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif text_lines is not None:
-        for line in text_lines:
-            print(line)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _printable(m: int, power, refusal: str) -> int:
-    """``power()``, an integer of at least ``2**m``, unless it has more digits
-    than Python converts to a string: then ``refusal`` is raised.  ``2**m`` has
-    more than ``3m/10`` digits, so a long ``m`` is refused without the power."""
+def _printable(field: str, k: float, n: int = 2, scale: int = 1) -> None:
+    """The one digit gate: refuse to print ``field``, a number of at least ``scale * n**k``,
+    when that gives it more digits than Python converts to a string.  The bound comes from
+    the number's closed form (exact for a power of n), so a long number is refused unbuilt;
+    it is compared on the exponent, which may be too large for a float."""
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, as before Python 3.10.7: no limit
-    if digits and 3 * m >= 10 * digits:
-        raise ResourceLimitError(refusal)
-    value = power()
-    if digits and value >= 10 ** digits:
-        raise ResourceLimitError(refusal)
+    if digits and k >= (digits * math.log2(10) - math.log2(scale)) / math.log2(n):
+        raise ResourceLimitError(f"{field} has too many digits to print")
+
+
+def _fraction(literal: str) -> Fraction:
+    """The ``--lambda`` literal as a fraction, gated before ``Fraction()`` reads it (by its length
+    and by the power of ten its exponent would have built) and then by its value."""
+    try:
+        exponent = abs(int(literal.lower().partition("e")[2] or 0))
+    except ValueError:
+        exponent = 0  # no decimal exponent: Fraction() reads the literal as it is, or rejects it
+    # a nonzero mantissa of fewer digits than the literal, times 10**exponent
+    _printable("--lambda", max(len(literal) - 1, exponent - len(literal)), 10)
+    try:
+        value = Fraction(literal)
+    except ZeroDivisionError:
+        raise ValueError(f"--lambda {clip(literal)} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {clip(literal)!r}") from None
+    _printable("--lambda", math.log2(max(abs(value.numerator), value.denominator)))
     return value
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> None:
     p = Presentation(args.s, args.t)
-    fmt = args.format
+    fmt, text_lines = args.format, None
 
-    if args.command == "group" and args.subcommand == "sphere":
-        if args.count:
-            print(_printable(args.m, lambda: sphere_size(p, args.m),
-                             f"sphere of length {args.m} has too many words to print"))
-            return 0
-        words = sphere(p, args.m, args.max_cells)
-        _emit([str(w) for w in words], fmt, text_lines=[str(w) for w in words])
-        return 0
-
-    if args.command == "group" and args.subcommand == "ck-matrix":
+    if args.command == "group" and args.subcommand == "sphere" and args.count:
+        _printable(f"sphere of length {clip(args.m)}", args.m - 1, p.branching, p.degree)
+        payload = sphere_size(p, args.m)
+        text_lines = [str(payload)]
+    elif args.command == "group" and args.subcommand == "sphere":
+        payload = text_lines = [str(w) for w in sphere(p, args.m, args.max_cells)]
+    elif args.command == "group":  # ck-matrix
+        if p.degree ** 2 > args.max_cells:
+            raise ResourceLimitError(f"the matrix would hold more than {clip(args.max_cells)} entries")
         matrix = cuntz_krieger_matrix(p)
         payload = {"letters": list(p.tokens), "matrix": matrix}
-        _emit(payload, fmt, text_lines=[" ".join(map(str, row)) for row in matrix])
-        return 0
-
-    if args.command == "measure":
+        text_lines = [" ".join(map(str, row)) for row in matrix]
+    elif args.command == "measure":
         if (args.word is None) == (args.union is None):
             raise ValueError("give exactly one of --word or --union")
-        if args.word is not None:
-            value = Cylinder(Word.parse(args.word, p)).measure
-        else:
-            value = CylinderUnion.parse(p, json.loads(args.union)).measure
-        _emit(str(value), fmt, text_lines=[str(value)])
-        return 0
-
-    if args.command == "act":
+        union = CylinderUnion.parse(p, [args.word] if args.union is None else json.loads(args.union))
+        _printable("measure", max((c.depth for c in union), default=0) - 1, p.branching, p.degree)
+        payload = str(union.measure)
+        text_lines = [payload]
+    elif args.command == "act":
         g = Word.parse(args.g, p)
         if (args.word is None) == (args.point is None):
             raise ValueError("give exactly one of --word or --point")
         if args.word is not None:
-            image = act_cylinder(g, Cylinder(Word.parse(args.word, p)))
-            _emit(image.bases(), fmt, text_lines=[", ".join(image.bases())])
+            payload = act_cylinder(g, Cylinder(Word.parse(args.word, p))).bases()
+            text_lines = [", ".join(payload)]
         else:
-            moved = act_point(g, BoundaryPoint.parse(args.point, p))
-            _emit(str(moved), fmt, text_lines=[str(moved)])
-        return 0
-
-    if args.command == "rn":
-        table = rn_table(Word.parse(args.g, p), args.depth, args.max_cells)
-        rows = table.to_json()
-        _emit(rows, fmt, text_lines=[f"{r['cell']}: {r['value']}" for r in rows])
-        return 0
-
-    if args.command == "kmap":
-        x, y = Word.parse(args.x, p), Word.parse(args.y, p)
-        k = build_swap(x, y, args.max_step)
+            payload = str(act_point(g, BoundaryPoint.parse(args.point, p)))
+            text_lines = [payload]
+    elif args.command == "rn":
+        payload = rn_table(Word.parse(args.g, p), args.depth, args.max_cells).to_json()
+        text_lines = [f"{r['cell']}: {r['value']}" for r in payload]
+    elif args.command == "kmap":
+        k = build_swap(Word.parse(args.x, p), Word.parse(args.y, p), args.max_step)
         if args.subcommand != "apply" and k.table_letters > args.max_cells:
-            raise ResourceLimitError(f"the piece table would hold more than {args.max_cells} letters")
-        if args.subcommand == "build":
-            _emit(k.to_json(), fmt)
-        elif args.subcommand == "verify":
-            _emit(verify_swap(k).to_json(), fmt)
+            raise ResourceLimitError(f"the piece table would hold more than {clip(args.max_cells)} letters")
+        if args.subcommand == "build" and not k.closed:  # the residual's measure, before the piece table
+            _printable("residual_measure", k.m + k.step_count - 1, p.branching, p.degree)
+        if args.subcommand == "apply":
+            payload = str(k.apply(BoundaryPoint.parse(args.point, p)))
+            text_lines = [payload]
         else:
-            result = k.apply(BoundaryPoint.parse(args.point, p))
-            _emit(str(result), fmt, text_lines=[str(result)])
-        return 0
-
-    if args.command == "ergodic":
+            payload = (k if args.subcommand == "build" else verify_swap(k)).to_json()
+    elif args.command == "ergodic":
         ok = transitivity_check(p, args.m, limit=args.max_cells)
-        _emit({"m": args.m, "transitive": ok}, fmt, text_lines=[str(ok).lower()])
-        return 0
-
-    if args.command == "ratio" and args.subcommand == "values":
-        _printable(args.max_len, lambda: p.branching ** args.max_len,
-                   f"{p.branching}**{args.max_len} has too many digits to print")
-        values = realized_rn_values(p, args.max_len, args.depth)
-        ordered = [str(v) for v in sorted(values)]
-        _emit(ordered, fmt, text_lines=ordered)
-        return 0
-
-    if args.command == "ratio" and args.subcommand == "witness":
+        payload, text_lines = {"m": args.m, "transitive": ok}, [str(ok).lower()]
+    elif args.command == "ratio" and args.subcommand == "values":
+        _printable(f"{p.branching}**{clip(args.max_len)}", args.max_len, p.branching)
+        payload = text_lines = [str(v) for v in sorted(realized_rn_values(p, args.max_len, args.depth))]
+    elif args.command == "ratio":
         ambient = CylinderUnion.parse(p, json.loads(args.ambient))
-        try:
-            lam = Fraction(args.lam)
-        except ZeroDivisionError:
-            raise ValueError(f"--lambda {args.lam} has a zero denominator") from None
-        witness = find_witness(lam, ambient, p)
+        witness = find_witness(_fraction(args.lam), ambient, p)
         if witness.rn_check_count > args.max_cells:
-            raise ResourceLimitError(f"rn_checks would list more than {args.max_cells} cells")
-        _emit(witness.to_json(), fmt)
-        return 0
-
-    if args.command == "classify":
-        _emit(classify(p).to_json(), fmt)
-        return 0
-
-    if args.command == "sample":
+            raise ResourceLimitError(f"rn_checks would list more than {clip(args.max_cells)} cells")
+        payload = witness.to_json()
+    elif args.command == "classify":
+        payload = classify(p).to_json()
+    else:  # sample
         batch = sample(p, args.depth, args.n_samples, args.seed, args.max_cells)
-        if fmt == "csv":
-            batch.write_csv(sys.stdout)
+        if fmt == "csv":  # streamed: a batch may hold 10**7 draws
+            payload, text_lines = None, batch.csv_lines()
         else:
-            _emit(batch.summary_json(), fmt)
-        return 0
+            payload = batch.summary_json()
 
-    raise ValueError(f"unhandled command {args.command}")
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True))
+    elif text_lines is None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in text_lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        _run(args)
     except ResourceLimitError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -208,11 +208,12 @@ class BoundaryPoint:
                 period = d
                 break
         cyc = cyc[:period]
-        # shortest prefix: fold trailing prefix letters into the cycle
-        pre = self.prefix.codes
-        while pre and pre[-1] == cyc[-1]:
-            pre = pre[:-1]
-            cyc = cyc[-1:] + cyc[:-1]
+        # shortest prefix: drop the trailing letters that repeat the cycle backwards, rotating it once
+        pre, fold = self.prefix.codes, 0
+        while fold < len(pre) and pre[-1 - fold] == cyc[-1 - fold % period]:
+            fold += 1
+        turn = period - fold % period
+        pre, cyc = pre[:len(pre) - fold], cyc[turn:] + cyc[:turn]
         # a prefix of the given prefix, and a rotation of a cyclically reduced cycle
         object.__setattr__(self, "prefix", Word._reduced(p, pre))
         object.__setattr__(self, "cycle", Word._reduced(p, cyc))

@@ -30,13 +30,14 @@ powers invert the chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import _cancellation, act_cylinder, act_point, fixed_points
 from .cylinders import Cylinder, CylinderUnion
 from .fullgroup import build_swap, transitivity_check
-from .words import Presentation, Word, sphere_size
+from .words import Presentation, Word, _reduce_codes, clip, sphere_size
 
 
 def power_exponent(value: Fraction, n: int) -> int | None:
@@ -48,11 +49,9 @@ def power_exponent(value: Fraction, n: int) -> int | None:
         return None
     # the side that is not 1 holds the power, and says its sign
     rest, sign = (num, 1) if den == 1 else (den, -1)
-    k = 0
-    while rest % n == 0:
-        rest //= n
-        k += 1
-    return sign * k if rest == 1 else None
+    # n**j has binary length floor(j log2 n) + 1: only j within one of ceil((length - 1) / log2 n) can match
+    k = math.ceil((rest.bit_length() - 1) / math.log2(n))
+    return next((sign * j for j in range(max(k - 1, 0), k + 2) if n ** j == rest), None)
 
 
 def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fraction]:
@@ -235,16 +234,16 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
     n = p.branching
     k = power_exponent(lam, n)
     if k is None or k == 0:
-        raise ValueError(f"target value {lam} is not a nontrivial power of the branching number {n}")
+        raise ValueError(f"target value {clip(lam)} is not a nontrivial power of the branching number {n}")
 
-    stage, found, image = _unit_stage(ambient, p)
-    stages = [stage]
-    mover = stage.mover
-    while len(stages) < abs(k):
-        nxt, nxt_found, image = _unit_stage(image, p)
-        found = _preimage(mover, nxt_found)
-        mover = nxt.mover * mover
-        stages.append(nxt)
+    stages, image = [], ambient
+    for _ in range(abs(k)):
+        stage, found, image = _unit_stage(image, p)
+        stages.append(stage)
+    # F: the last stage's set pulled back by the earlier stages, their movers' codes reduced once
+    earlier = Word._reduced(p, _reduce_codes([c for st in reversed(stages[:-1]) for c in st.mover.codes], p))
+    found = _preimage(earlier, found) if earlier else found
+    mover = stages[-1].mover * earlier
 
     if not ambient.contains(found) or not ambient.contains(image):
         raise AssertionError("witness containment failed")

@@ -18,12 +18,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate
-from typing import IO, Mapping
+from itertools import accumulate, repeat
+from typing import Iterator, Mapping
 
 from .action import act_cylinder
 from .cylinders import Cylinder, CylinderUnion
-from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, sphere, sphere_size
+from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, clip, sphere, sphere_size
 
 BLOCK = 1 << 16
 
@@ -72,11 +72,10 @@ class SampleBatch:
             cells[key] = cells.get(key, 0) + c
         return {Word._reduced(self.presentation, key): c for key, c in cells.items()}
 
-    def write_csv(self, fp: IO[str]) -> None:
+    def csv_lines(self) -> Iterator[str]:
+        """One line per draw, made as it is read: the distinct words in shortlex order, each as often as drawn."""
         for w in sorted(self.counts, key=lambda w: (len(w), w.codes)):
-            line = str(w) + "\n"
-            for _ in range(self.counts[w]):
-                fp.write(line)
+            yield from repeat(str(w), self.counts[w])
 
     def summary_json(self) -> dict:
         freq = {
@@ -108,7 +107,7 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
         raise ValueError("count must be at least 1")
     if limit is not None and count * depth > limit:
         raise ResourceLimitError(
-            f"{count} draws of depth {depth} ({count * depth} letters) exceed the bound {limit}")
+            f"{clip(count)} draws of depth {clip(depth)} exceed the bound of {clip(limit)} letters")
     import numpy as np  # here, so that importing the package does not load numpy
     degree, n = p.degree, p.branching
     # big-endian letters, so that the bytes of a row sort like its codes

@@ -25,6 +25,12 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured cell budget."""
 
 
+def clip(value: object, width: int = 40) -> str:
+    """``value`` as text for an error message: its first ``width`` characters, marked when cut."""
+    text = str(value)
+    return text if len(text) <= width else text[:width] + "..."
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Generator counts: ``s`` of order two, ``t`` of infinite order."""
@@ -222,7 +228,7 @@ def sphere(p: Presentation, m: int, limit: int | None = DEFAULT_CELL_LIMIT) -> l
     """All reduced words of length ``m``, in lexicographic letter order."""
     # the size is at least 2**m, so a long length is refused without the power
     if limit is not None and (m >= limit.bit_length() or sphere_size(p, m) > limit):
-        raise ResourceLimitError(f"sphere of length {m} has more than {limit} words")
+        raise ResourceLimitError(f"sphere of length {clip(m)} has more than {clip(limit)} words")
     return [Word._reduced(p, codes) for codes in p.extensions((), m)]
 
 
@@ -233,5 +239,8 @@ def cuntz_krieger_matrix(p: Presentation) -> list[list[int]]:
     entry (u, v) is 1 exactly when v may follow u in a reduced word,
     i.e. v is not the inverse of u.  Every row sums to degree - 1.
     """
-    d = p.degree
-    return [[int(v in p.followers((u,))) for v in range(d)] for u in range(d)]
+    rows = [[0] * p.degree for _ in range(p.degree)]
+    for u, row in enumerate(rows):
+        for v in p.followers((u,)):
+            row[v] = 1
+    return rows

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -372,6 +374,149 @@ def test_import_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("s,t", [(3, 0), (0, 2), (2, 1)])
+def test_ck_matrix_honours_max_cells(capsys, monkeypatch, s, t):
+    d = s + 2 * t
+    args = ("group", "ck-matrix", "--s", str(s), "--t", str(t))
+    monkeypatch.setattr(treeboundary.cli, "cuntz_krieger_matrix", None)
+    code, out, err = run(capsys, *args, "--max-cells", str(d * d - 1))
+    assert code == 3
+    assert out == ""
+    assert err == f"resource bound exceeded: the matrix would hold more than {d * d - 1} entries\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *args, "--max-cells", str(d * d), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["matrix"]) == d
+
+
+def oversized(limit: int) -> dict[str, list[str]]:
+    """Every README subcommand that takes a word, point, count or literal, given
+    one that is valid but sized from Python's digit limit: a word of 4*limit
+    letters, a count of 4*limit or of limit digits, a literal of limit + 65
+    digits or 1e(5*limit)."""
+    word, other = " ".join(["a1 a2"] * (2 * limit)), " ".join(["a2 a1"] * (2 * limit))
+    count, point, digits = str(4 * limit), f"{word} | a1 a3", "9" * limit
+    return {
+        "measure-word": ["measure", "--word", word],
+        "measure-union": ["measure", "--union", json.dumps([word])],
+        "sphere": ["group", "sphere", "--m", count],
+        "sphere-count": ["group", "sphere", "--m", count, "--count"],
+        "act-word": ["act", "--g", word, "--word", other],
+        "act-point": ["act", "--g", other, "--point", point],
+        "rn-element": ["rn", "--g", word, "--depth", str(4 * limit + 1)],
+        "rn-depth": ["rn", "--g", "a1", "--depth", count],
+        "kmap-build": ["kmap", "build", "--x", word, "--y", other, "--max-step", "2"],
+        "kmap-verify": ["kmap", "verify", "--x", word, "--y", other],
+        "kmap-apply": ["kmap", "apply", "--x", word, "--y", other, "--point", point],
+        "kmap-build-steps": ["kmap", "build", "--x", "a1", "--y", "a2", "--max-step", count],
+        "kmap-apply-steps": ["kmap", "apply", "--x", "a1", "--y", "a2", "--max-step", count,
+                             "--point", "a1 a3 | a2 a3"],
+        "ergodic": ["ergodic", "check", "--m", count],
+        "ratio-values": ["ratio", "values", "--max-len", count, "--depth", str(4 * limit + 1)],
+        "witness-literal": ["ratio", "witness", "--lambda", "1" * (limit + 65)],
+        "witness-exponent": ["ratio", "witness", "--lambda", f"1e{5 * limit}"],
+        "witness-negative-exponent": ["ratio", "witness", "--lambda", f"1e-{5 * limit}"],
+        "witness-ambient": ["ratio", "witness", "--lambda", "1/2", "--E", json.dumps([word])],
+        "sample-depth": ["sample", "--depth", count, "--n-samples", "1"],
+        "sample-count": ["sample", "--depth", "2", "--n-samples", count, "--format", "csv"],
+        "sphere-digits": ["group", "sphere", "--m", digits],
+        "sphere-count-digits": ["group", "sphere", "--m", digits, "--count"],
+        "ratio-values-digits": ["ratio", "values", "--max-len", digits[1:], "--depth", digits],
+        "witness-exponent-digits": ["ratio", "witness", "--lambda", "1e" + digits[2:]],
+        "sample-digits": ["sample", "--depth", digits, "--n-samples", digits],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oversized(1)))
+def test_inputs_sized_from_the_digit_limit_exit_0_or_3(capsys, name):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    code, _, err = run(capsys, *oversized(limit)[name], "--s", "3", "--t", "0")
+    assert code in (0, 3), err
+    assert len(err.encode()) < 300
+    assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("s,t", [(3, 0), (1, 1), (0, 2), (4, 0)])
+def test_digit_gate_refuses_exactly_the_numbers_past_the_limit(capsys, monkeypatch, s, t):
+    # a limit of 300 digits, below the interpreter's own, so that the numbers
+    # on both sides of it can still be converted here to be counted
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 300, raising=False)
+    p = treeboundary.Presentation(s, t)
+    edge = round(300 / math.log10(p.branching))
+    for m in range(edge - 3, edge + 4):
+        size, codes = treeboundary.sphere_size(p, m), ()
+        for _ in range(m):
+            codes += p.followers(codes)[:1]
+        values = "".join(f"{Fraction(p.branching) ** k}\n" for k in range(-m, m + 1))
+        pa = ("--s", str(s), "--t", str(t))
+        for argv, printed, expected in (
+            (("group", "sphere", *pa, "--m", str(m), "--count"), size, f"{size}\n"),
+            (("measure", *pa, "--word", str(treeboundary.Word(p, codes))), size, f"1/{size}\n"),
+            (("ratio", "values", *pa, "--max-len", str(m), "--depth", str(m + 1)), p.branching ** m, values),
+        ):
+            too_long = len(str(printed)) > 300
+            assert run(capsys, *argv)[:2] == ((3, "") if too_long else (0, expected))
+
+
+WORD_16000 = " ".join(["a1 a2"] * 8000)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--word", WORD_16000],
+    ["measure", "--union", json.dumps([WORD_16000])],
+    ["ratio", "witness", "--lambda", "1" * 4365],
+], ids=["measure-word", "measure-union", "witness-literal"])
+def test_numbers_past_the_digit_limit_exit_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    code, out, err = run(capsys, *argv, "--s", "3", "--t", "0")
+    assert code == 3
+    assert out == ""
+    assert err.endswith(" has too many digits to print\n")
+    assert len(err) < 300
+
+
+def test_kmap_build_refuses_its_residual_measure_before_the_piece_table(capsys, monkeypatch):
+    def refuse(self, j):
+        raise AssertionError("the piece table was built")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(fullgroup.PiecewiseTranslation, "_pieces", refuse)
+    code, out, err = run(capsys, "kmap", "build", "--s", "3", "--t", "0", "--x", WORD_16000,
+                         "--y", " ".join(["a2 a1"] * 8000), "--max-step", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "resource bound exceeded: residual_measure has too many digits to print\n"
+
+
+def test_huge_lambda_is_refused_before_its_exponent(capsys, monkeypatch):
+    def refuse(value, n):
+        raise AssertionError("the exponent of a huge --lambda was sought")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(treeboundary.ratios, "power_exponent", refuse)
+    code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "1e20000")
+    assert code == 3
+    assert out == ""
+    assert err == "resource bound exceeded: --lambda has too many digits to print\n"
+
+
+def test_lambda_errors_quote_a_prefix(capsys):
+    # 10**3000 has 3001 digits: under Python's default limit it is read and is no
+    # power of 2; under a limit of 3000 digits or fewer it is too long to print
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", "1e3000")
+    assert code == (3 if 0 < limit <= 3000 else 2)
+    assert out == ""
+    assert len(err) < 300
+    for literal in ("1" * 600 + "x", "1" * 600 + "/0"):
+        code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", literal)
+        assert code == 2
+        assert out == ""
+        assert "1" * 40 + "..." in err and len(err) < 300
 
 
 # sha256 of the exit code, a newline and the standard output, recorded while

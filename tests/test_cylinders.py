@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from treeboundary import (
     BoundaryPoint,
@@ -14,6 +15,7 @@ from treeboundary import (
 )
 
 from conftest import (
+    PRESENTATIONS,
     brute_force_sphere,
     random_reduced_word,
     random_union,
@@ -142,6 +144,49 @@ def test_boundary_point_normalizes_shortest_prefix():
     assert str(pt) == "e | a2 a3"
     pt2 = BoundaryPoint(Word.parse("a1 a2", P30), Word.parse("a3 a2", P30))
     assert str(pt2) == "a1 | a2 a3"
+
+
+def normal_form_letter_by_letter(pre: tuple, cyc: tuple) -> tuple[tuple, tuple]:
+    """The normal form as it was computed before the fold was counted: a
+    primitive cycle, then one trailing prefix letter folded in per step."""
+    period = len(cyc)
+    for d in range(1, len(cyc)):
+        if len(cyc) % d == 0 and cyc == cyc[:d] * (len(cyc) // d):
+            period = d
+            break
+    cyc = cyc[:period]
+    while pre and pre[-1] == cyc[-1]:
+        pre = pre[:-1]
+        cyc = cyc[-1:] + cyc[:-1]
+    return pre, cyc
+
+
+@st.composite
+def point_codes(draw):
+    """A presentation, a prefix and a cycle; the prefix often ends in copies of
+    the cycle, and the cycle is often a power, so that both normalise."""
+    p = draw(st.sampled_from(PRESENTATIONS))
+
+    def reduced(length):
+        codes = ()
+        for _ in range(length):
+            codes += (draw(st.sampled_from(p.followers(codes))),)
+        return codes
+
+    base = reduced(draw(st.integers(1, 5)))
+    head = reduced(draw(st.integers(0, 4)))
+    pre = head + base * draw(st.integers(0, 4)) + base[: draw(st.integers(0, len(base)))]
+    return p, pre, base * draw(st.integers(1, 3))
+
+
+@given(point_codes())
+def test_boundary_point_normal_form_matches_folding_letter_by_letter(data):
+    p, pre, cyc = data
+    try:
+        point = BoundaryPoint(Word(p, pre), Word(p, cyc))
+    except ValueError:
+        assume(False)  # a junction that does not reduce
+    assert (point.prefix.codes, point.cycle.codes) == normal_form_letter_by_letter(pre, cyc)
 
 
 def test_boundary_point_rejects_bad_junctions():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from treeboundary import (
     Cylinder,
@@ -32,6 +33,33 @@ def test_power_exponent():
     assert power_exponent(Fraction(1, 6), 2) is None
     assert power_exponent(Fraction(2, 3), 2) is None
     assert power_exponent(Fraction(0), 2) is None
+
+
+def power_exponent_by_division(value: Fraction, n: int) -> int | None:
+    """The exponent as it was found before the closed form: one factor of n
+    stripped per step."""
+    if value <= 0:
+        return None
+    num, den = value.numerator, value.denominator
+    if num != 1 and den != 1:
+        return None
+    rest, sign = (num, 1) if den == 1 else (den, -1)
+    k = 0
+    while rest % n == 0:
+        rest //= n
+        k += 1
+    return sign * k if rest == 1 else None
+
+
+@given(st.integers(2, 7), st.integers(0, 2000), st.sampled_from([(1, 0), (1, 1), (1, -1)]) | st.tuples(
+    st.integers(2, 60), st.just(0)), st.booleans())
+def test_power_exponent_matches_stripping_factors(n, k, shape, reciprocal):
+    # n**k, n**k + 1, n**k - 1 and n**k * m, or their reciprocals
+    factor, offset = shape
+    value = Fraction(n ** k * factor + offset)
+    if reciprocal and value:
+        value = 1 / value
+    assert power_exponent(value, n) == power_exponent_by_division(value, n)
 
 
 def test_realized_values_examples():
@@ -233,6 +261,19 @@ def test_deep_witness_does_no_per_cell_work(monkeypatch):
     assert witness.deviation == 0
     # the refinement the certificate no longer runs: 3**13 cells
     assert witness.rn_check_count == 3 ** 13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6])
+def test_witness_pulls_f_back_once(presentation, monkeypatch, k):
+    # F comes from one preimage of the last stage's set, however many stages
+    pulled = []
+    preimage = ratios._preimage
+    monkeypatch.setattr(ratios, "_preimage", lambda g, union: pulled.append(g) or preimage(g, union))
+    for ambient in ambients(presentation):
+        pulled.clear()
+        witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
+        assert len(pulled) <= 1
+        assert len(witness.stages) == abs(k) and witness.deviation == 0
 
 
 def test_classify_labels():

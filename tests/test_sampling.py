@@ -1,5 +1,4 @@
 import hashlib
-import io
 import random
 from fractions import Fraction
 
@@ -104,9 +103,7 @@ def test_pushforward_through_swap_moves_mass_exactly():
 
 def test_csv_and_summary_outputs():
     batch = sample(P30, 2, 50, seed=9)
-    buf = io.StringIO()
-    batch.write_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = list(batch.csv_lines())
     assert len(lines) == 50
     assert all(len(Word.parse(line, P30)) == 2 for line in lines)
     summary = batch.summary_json()

@@ -281,6 +281,13 @@ def test_cuntz_krieger_row_sums(presentation):
             assert matrix[u][v] == (1 if reducible else 0)
 
 
+@pytest.mark.parametrize("s,t", [(3, 0), (1, 1), (0, 2), (4, 0), (2, 1), (0, 3)])
+def test_cuntz_krieger_matrix_is_every_pair_but_the_inverse(s, t):
+    p = Presentation(s, t)
+    assert cuntz_krieger_matrix(p) == [[int(v != p.inverse_code(u)) for v in range(p.degree)]
+                                       for u in range(p.degree)]
+
+
 def test_random_words_multiply_associatively():
     rng = random.Random(11)
     for p in PRESENTATIONS:
