@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -117,32 +118,37 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _printable(field: str, k: float, n: int = 2, scale: int = 1) -> None:
+def _printable(field: str, k: int, n: int, scale: int = 1) -> None:
     """The one digit gate: refuse to print ``field``, a number of at least ``scale * n**k``,
-    when that gives it more digits than Python converts to a string.  The bound comes from
-    the number's closed form (exact for a power of n), so a long number is refused unbuilt;
-    it is compared on the exponent, which may be too large for a float."""
+    when that gives it more digits than Python converts to a string.  The power is compared on
+    its logarithm, unbuilt, unless it lies within a factor of n of the limit; then exactly."""
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, as before Python 3.10.7: no limit
-    if digits and k >= (digits * math.log2(10) - math.log2(scale)) / math.log2(n):
+    at = (digits * math.log2(10) - math.log2(scale)) / math.log2(n)  # the k of 10**digits
+    if digits and (k >= at + 1 or (k > at - 1 and k >= 0 and scale * n**k >= 10**digits)):
         raise ResourceLimitError(f"{field} has too many digits to print")
 
 
+_DIGITS = r"\d+(?:_\d+)*"  # a decimal with an exponent, for which Fraction() builds 10**|exponent|
+_SCIENTIFIC = re.compile(rf"\s*[-+]?(?=\.?\d)(?P<whole>(?:{_DIGITS})?)(?:\.(?P<part>(?:{_DIGITS})?))?"
+                         rf"e(?P<exponent>[-+]?{_DIGITS})\s*", re.IGNORECASE)
+
+
 def _fraction(literal: str) -> Fraction:
-    """The ``--lambda`` literal as a fraction, gated before ``Fraction()`` reads it (by its length
-    and by the power of ten its exponent would have built) and then by its value."""
-    try:
-        exponent = abs(int(literal.lower().partition("e")[2] or 0))
-    except ValueError:
-        exponent = 0  # no decimal exponent: Fraction() reads the literal as it is, or rejects it
-    # a nonzero mantissa of fewer digits than the literal, times 10**exponent
-    _printable("--lambda", max(len(literal) - 1, exponent - len(literal)), 10)
+    """The ``--lambda`` literal as a fraction; one too long to print is refused, unbuilt if it can be."""
+    _printable("--lambda", len(literal) - 1, 10)  # no number Fraction() reads is longer
+    if shape := _SCIENTIFIC.fullmatch(literal):
+        whole, part, exponent = (text.replace("_", "") for text in shape.groups(""))
+        if not (significant := (whole + part).lstrip("0")):
+            return Fraction(0)
+        e = len(significant) + int(exponent) - len(part)  # 10**(e-1) <= |value| < 10**e, so its
+        _printable("--lambda", abs(e) - 1, 10)  # numerator or denominator is at least 10**(|e|-1)
     try:
         value = Fraction(literal)
     except ZeroDivisionError:
         raise ValueError(f"--lambda {clip(literal)} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"Invalid literal for Fraction: {clip(literal)!r}") from None
-    _printable("--lambda", math.log2(max(abs(value.numerator), value.denominator)))
+    _printable("--lambda", 0, 10, value.denominator)
     return value
 
 
@@ -209,10 +215,8 @@ def _run(args: argparse.Namespace) -> None:
         payload = classify(p).to_json()
     else:  # sample
         batch = sample(p, args.depth, args.n_samples, args.seed, args.max_cells)
-        if fmt == "csv":  # streamed: a batch may hold 10**7 draws
-            payload, text_lines = None, batch.csv_lines()
-        else:
-            payload = batch.summary_json()
+        # csv is streamed: a batch may hold 10**7 draws
+        payload, text_lines = (None, batch.csv_lines()) if fmt == "csv" else (batch.summary_json(), None)
 
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))

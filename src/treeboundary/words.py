@@ -25,10 +25,10 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured cell budget."""
 
 
-def clip(value: object, width: int = 40) -> str:
-    """``value`` as text for an error message: its first ``width`` characters, marked when cut."""
+def clip(value: object) -> str:
+    """``value`` as text for an error message: its first 40 characters, marked when cut."""
     text = str(value)
-    return text if len(text) <= width else text[:width] + "..."
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 @dataclass(frozen=True)

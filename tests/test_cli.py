@@ -519,6 +519,36 @@ def test_lambda_errors_quote_a_prefix(capsys):
         assert "1" * 40 + "..." in err and len(err) < 300
 
 
+@pytest.mark.parametrize("limit", [300, 640])
+def test_digit_gate_is_exact_where_a_power_of_ten_meets_the_limit(capsys, monkeypatch, limit):
+    # 10**limit has limit + 1 digits and 10**(limit - 1) has limit; 2.5e-limit and
+    # 5e-limit reduce to denominators of limit digits, 1e-limit does not
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    for s, argv, code in (
+        (3, ["ratio", "witness", "--lambda", f"1e{limit}"], 3),
+        (3, ["ratio", "witness", "--lambda", f"1e{limit - 1}"], 2),
+        (3, ["ratio", "witness", "--lambda", f"1e-{limit}"], 3),
+        (3, ["ratio", "witness", "--lambda", f"2.5e-{limit}"], 2),
+        (3, ["ratio", "witness", "--lambda", f"5E-{limit}"], 2),
+        (3, ["ratio", "witness", "--lambda", "1" * (limit + 1)], 3),
+        (3, ["ratio", "witness", "--lambda", "1" * limit], 2),
+        (11, ["ratio", "values", "--max-len", str(limit), "--depth", str(limit + 1)], 3),
+        (11, ["ratio", "values", "--max-len", str(limit - 1), "--depth", str(limit)], 0),
+    ):
+        got, _, err = run(capsys, *argv, "--s", str(s), "--t", "0")
+        assert got == code, (argv[3][:20], err)
+        assert "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("literal", ["0e99999", "+0.0e" + "9" * 200, "1/3e5000", "xe9999", "1__0e9999"],
+                         ids=["zero", "zero-huge-exponent", "fraction-exponent", "no-mantissa", "underscores"])
+def test_lambda_exponent_is_gated_only_on_a_nonzero_decimal(capsys, literal):
+    # zero, or no literal Fraction() reads: invalid input, not a number too long to print
+    code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", literal)
+    assert (code, out) == (2, "")
+    assert len(err) < 300
+
+
 # sha256 of the exit code, a newline and the standard output, recorded while
 # the parser was rebuilt per call, transitivity built every ordered pair and
 # ratio values enumerated: the README's commands and four per presentation;
