@@ -31,7 +31,7 @@ def act_point(g: Word, point: BoundaryPoint) -> BoundaryPoint:
     cycle = point.cycle.codes
     # unroll far enough that reduction cannot reach into the repeating part
     codes += cycle * max(0, (len(g) - len(codes)) // len(cycle) + 1)
-    moved = g * Word(g.presentation, codes)
+    moved = g * Word._reduced(g.presentation, codes)  # a normalized point's letters are reduced
     return BoundaryPoint(moved, point.cycle)
 
 

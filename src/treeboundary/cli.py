@@ -35,11 +35,20 @@ from .words import (
 )
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value; one too long to print is refused before ``int()`` reads it."""
+    _printable(f"integer {clip(text)}", len(text) - 1, 10)
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its message: "invalid int value"
+
+
 def _add_presentation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--s", type=int, required=True, help="number of order-two generators")
-    parser.add_argument("--t", type=int, required=True, help="number of infinite-order generators")
+    parser.add_argument("--s", type=_integer, required=True, help="number of order-two generators")
+    parser.add_argument("--t", type=_integer, required=True, help="number of infinite-order generators")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--max-cells", type=int, default=DEFAULT_CELL_LIMIT,
+    parser.add_argument("--max-cells", type=_integer, default=DEFAULT_CELL_LIMIT,
                         help="refuse enumerations above this many cells")
 
 
@@ -54,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = group.add_subparsers(dest="subcommand", required=True)
     g_sphere = gsub.add_parser("sphere", help="all reduced words of one length")
     _add_presentation(g_sphere)
-    g_sphere.add_argument("--m", type=int, required=True)
+    g_sphere.add_argument("--m", type=_integer, required=True)
     g_sphere.add_argument("--count", action="store_true", help="print only the number of words")
     g_ck = gsub.add_parser("ck-matrix", help="allowed-successor 0/1 matrix over the letters")
     _add_presentation(g_ck)
@@ -73,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn = sub.add_parser("rn", help="exact scaling table of an element")
     _add_presentation(rn)
     rn.add_argument("--g", required=True)
-    rn.add_argument("--depth", type=int, required=True)
+    rn.add_argument("--depth", type=_integer, required=True)
 
     kmap = sub.add_parser("kmap", help="cylinder swap automorphisms")
     ksub = kmap.add_subparsers(dest="subcommand", required=True)
@@ -84,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_presentation(kp)
         kp.add_argument("--x", required=True)
         kp.add_argument("--y", required=True)
-        kp.add_argument("--max-step", type=int, default=4)
+        kp.add_argument("--max-step", type=_integer, default=4)
         if name == "apply":
             kp.add_argument("--point", required=True)
 
@@ -92,14 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     esub = ergodic.add_subparsers(dest="subcommand", required=True)
     e_check = esub.add_parser("check")
     _add_presentation(e_check)
-    e_check.add_argument("--m", type=int, required=True)
+    e_check.add_argument("--m", type=_integer, required=True)
 
     ratio = sub.add_parser("ratio", help="realized scaling values and witnesses")
     rsub = ratio.add_subparsers(dest="subcommand", required=True)
     r_values = rsub.add_parser("values")
     _add_presentation(r_values)
-    r_values.add_argument("--max-len", type=int, required=True)
-    r_values.add_argument("--depth", type=int, required=True)
+    r_values.add_argument("--max-len", type=_integer, required=True)
+    r_values.add_argument("--depth", type=_integer, required=True)
     r_witness = rsub.add_parser("witness")
     _add_presentation(r_witness)
     r_witness.add_argument("--lambda", dest="lam", required=True, help="target value, e.g. 2 or 1/2")
@@ -111,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="draw boundary truncations under the measure")
     _add_presentation(smp)
-    smp.add_argument("--depth", type=int, required=True)
-    smp.add_argument("--n-samples", type=int, required=True)
-    smp.add_argument("--seed", type=int, default=0)
+    smp.add_argument("--depth", type=_integer, required=True)
+    smp.add_argument("--n-samples", type=_integer, required=True)
+    smp.add_argument("--seed", type=_integer, default=0)
 
     return top
 
@@ -227,9 +236,8 @@ def _run(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _run(args)
+        _run(build_parser().parse_args(argv))
     except ResourceLimitError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 3

@@ -230,7 +230,7 @@ class BoundaryPoint:
     def truncate(self, m: int) -> Word:
         if m < 0:
             raise ValueError("depth must be nonnegative")
-        return Word(self.presentation, tuple(self.letter_code_at(i) for i in range(m)))
+        return Word._reduced(self.presentation, tuple(self.letter_code_at(i) for i in range(m)))
 
     def cylinder_at(self, m: int) -> Cylinder:
         """The unique depth-``m`` cylinder containing the point."""
@@ -260,4 +260,4 @@ def periodic_extension(word: Word) -> BoundaryPoint:
     # a free letter may follow itself; a letter of order two needs a partner
     free = [z for z in first if z in p.followers((z,))]
     cycle = free[:1] or [first[0], p.followers(first[:1])[0]]
-    return BoundaryPoint(word, Word(p, tuple(cycle)))
+    return BoundaryPoint(word, Word._reduced(p, tuple(cycle)))

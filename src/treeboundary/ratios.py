@@ -21,11 +21,14 @@ The witness construction for a single factor of n:
 * if the result has left E, swap it back onto C and again restrict to
   the first translation piece.
 
-On the restricted set the composite acts by one group element, so
-containment is checked on cylinders and the scaling by one Busemann
-cocycle per cylinder of F, in exact arithmetic.
-Larger powers chain unit witnesses through the image sets; negative
-powers invert the chain.
+On the restricted set the composite acts by one group element, the
+stage's mover, and lands on one cylinder.  Larger powers chain unit
+stages, each inside the cylinder the previous one lands on; negative
+powers invert the chain.  After the stages the movers' codes are reduced
+once into the net mover t, and F is computed once, as t^-1(t(F)) for the
+cylinder t(F) the last stage lands on.  Containment is then checked on
+cylinders and the scaling by one Busemann cocycle per cylinder of F, in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -95,11 +98,9 @@ class WitnessStage:
 class Witness:
     """Certificate that ``lam`` is an essential scaling value inside ``ambient``.
 
-    ``rn_cells`` holds the scaling of ``net_element`` on each cylinder of F,
-    where the cocycle certifies it constant.  ``deviation`` is the largest
-    gap between those values and the target; the construction is exact, so
-    it is always zero and the certificate holds for every positive tolerance
-    simultaneously.
+    ``net_element`` scales every cylinder of F by exactly ``lam``, checked by
+    one cocycle per cylinder, so the deviation from the target is zero and the
+    certificate holds for every positive tolerance simultaneously.
     """
 
     lam: Fraction
@@ -108,11 +109,6 @@ class Witness:
     image: CylinderUnion
     stages: tuple[WitnessStage, ...]
     net_element: Word
-    rn_cells: tuple[tuple[Cylinder, Fraction], ...]
-
-    @property
-    def deviation(self) -> Fraction:
-        return max((abs(v - self.lam) for _, v in self.rn_cells), default=Fraction(0))
 
     def _check_depth(self, cyl: Cylinder) -> int:
         """Depth at which ``rn_checks`` lists the cells of a cylinder of F."""
@@ -125,18 +121,17 @@ class Witness:
         return sum(sphere_size(p, self._check_depth(c)) // sphere_size(p, c.depth) for c in self.found)
 
     def to_json(self) -> dict:
-        # each cylinder's value, listed on its cells deeper than the mover
-        rn_checks = []
-        for cyl, value in self.rn_cells:
-            text, cells = str(value), cyl.descendants(self._check_depth(cyl))
-            rn_checks += [{"cell": str(sub.base), "value": text} for sub in cells]
+        # the target value, listed on the cells of F deeper than the mover
+        p, text = self.found.presentation, str(self.lam)
+        rn_checks = [{"cell": str(Word._reduced(p, codes)), "value": text}
+                     for cyl in self.found for codes in p.extensions(cyl.base.codes, self._check_depth(cyl))]
         out = {
-            "lambda": str(self.lam),
+            "lambda": text,
             "E": self.ambient.bases(),
             "F": self.found.bases(),
             "tF": self.image.bases(),
             "net_element": str(self.net_element),
-            "deviation": str(self.deviation),
+            "deviation": "0",
             "stages": [st.to_json() for st in self.stages],
             "rn_checks": rn_checks,
         }
@@ -149,25 +144,20 @@ def _first_word_starting_with(p: Presentation, first: int, length: int) -> Word:
     codes = (first,)
     while len(codes) < length:
         codes += p.followers(codes)[:1]
-    return Word(p, codes)
+    return Word._reduced(p, codes)
 
 
-def _rn_cells(f: CylinderUnion, mover: Word, lam: Fraction) -> tuple[tuple[Cylinder, Fraction], ...]:
-    """The scaling of ``mover`` on each cylinder of F, one cocycle per cylinder.
+def _check_scaling(f: CylinderUnion, mover: Word, k: int) -> None:
+    """Check that ``mover`` scales every cylinder of F by ``n**k``, one cocycle per cylinder.
 
     On the cylinder over ``w`` the cocycle ``n**(2c - len(mover))`` is
     constant exactly when the cancellation length ``c`` stops inside ``w``
     or uses up the whole mover; otherwise the cells below ``w`` disagree.
     """
-    n = Fraction(f.presentation.branching)
-    cells = []
     for cyl in f:
         c = _cancellation(mover, cyl.base)
-        value = n ** (2 * c - len(mover))
-        if c == cyl.depth < len(mover) or value != lam:
+        if c == cyl.depth < len(mover) or 2 * c - len(mover) != k:
             raise AssertionError("witness scaling is not constant at the target value")
-        cells.append((cyl, value))
-    return tuple(cells)
 
 
 def _preimage(element: Word, union: CylinderUnion) -> CylinderUnion:
@@ -177,11 +167,9 @@ def _preimage(element: Word, union: CylinderUnion) -> CylinderUnion:
     ))
 
 
-def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, CylinderUnion, CylinderUnion]:
-    """A witness stage for one factor of n inside ``ambient``.
-
-    Returns the stage, the set F it is certified on, and its exact image.
-    """
+def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, Cylinder]:
+    """A witness stage for one factor of n inside ``ambient``, and the one
+    cylinder its mover lands on."""
     first = ambient.cylinders[0]
     if first.depth == 0:
         first = first.children()[0]
@@ -204,18 +192,12 @@ def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, 
     shifted = Cylinder(~g * q1.base)
     if ambient.contains(shifted):
         back_into = (shifted.base, shifted.base)
-        mover = ~g * u
-        found = CylinderUnion(p, (d1,))
-        image = CylinderUnion(p, (shifted,))
+        mover, landed = ~g * u, shifted
     else:
         back_into = (shifted.base, c)
         piece2 = build_swap(shifted.base, c, max_step=1).pieces_at_step(1)[0]
-        mover = piece2.element * ~g * u
-        found = act_cylinder(~(~g * u), piece2.domain)
-        image = CylinderUnion(p, (piece2.image,))
-
-    stage = WitnessStage(into_shadow, g, back_into, mover)
-    return stage, found, image
+        mover, landed = piece2.element * ~g * u, piece2.image
+    return WitnessStage(into_shadow, g, back_into, mover), landed
 
 
 def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witness:
@@ -238,12 +220,12 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
 
     stages, image = [], ambient
     for _ in range(abs(k)):
-        stage, found, image = _unit_stage(image, p)
+        stage, landed = _unit_stage(image, p)
         stages.append(stage)
-    # F: the last stage's set pulled back by the earlier stages, their movers' codes reduced once
-    earlier = Word._reduced(p, _reduce_codes([c for st in reversed(stages[:-1]) for c in st.mover.codes], p))
-    found = _preimage(earlier, found) if earlier else found
-    mover = stages[-1].mover * earlier
+        image = CylinderUnion(p, (landed,))
+    # t: the stage movers' codes reduced once; F = t^-1(t(F)), with t(F) where the last stage lands
+    mover = Word._reduced(p, _reduce_codes([c for st in reversed(stages) for c in st.mover.codes], p))
+    found = _preimage(mover, image)
 
     if not ambient.contains(found) or not ambient.contains(image):
         raise AssertionError("witness containment failed")
@@ -253,7 +235,8 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
         # the inverse chain maps the image back onto F
         stages = [st.inverted() for st in reversed(stages)]
         found, image, mover = image, found, ~mover
-    return Witness(lam, ambient, found, image, tuple(stages), mover, _rn_cells(found, mover, lam))
+    _check_scaling(found, mover, k)
+    return Witness(lam, ambient, found, image, tuple(stages), mover)
 
 
 @dataclass(frozen=True)

@@ -102,16 +102,14 @@ class Presentation:
         inverse = rest.endswith("'")
         if inverse:
             rest = rest[:-1]
-        if kind not in ("a", "b") or not rest.isdigit():
-            raise ValueError(f"bad letter token {token!r}")
-        i = int(rest)
-        if kind == "a":
-            if inverse or not 1 <= i <= self.s:
-                raise ValueError(f"bad letter token {token!r} for {self}")
-            return i - 1
-        if not 1 <= i <= self.t:
-            raise ValueError(f"bad letter token {token!r} for {self}")
-        return self.s + 2 * (i - 1) + (1 if inverse else 0)
+        if kind not in ("a", "b") or not (rest.isascii() and rest.isdigit()):
+            raise ValueError(f"bad letter token {clip(token)!r}")
+        count, index = (self.s if kind == "a" else self.t), rest.lstrip("0")
+        # an index with more digits than the generator count is out of range, and left unread
+        i = int(index or "0") if len(index) <= len(str(count)) else 0
+        if (kind == "a" and inverse) or not 1 <= i <= count:
+            raise ValueError(f"bad letter token {clip(token)!r} for {self}")
+        return i - 1 if kind == "a" else self.s + 2 * (i - 1) + inverse
 
     def identity(self) -> "Word":
         return Word(self, ())

@@ -426,6 +426,9 @@ def oversized(limit: int) -> dict[str, list[str]]:
         "ratio-values-digits": ["ratio", "values", "--max-len", digits[1:], "--depth", digits],
         "witness-exponent-digits": ["ratio", "witness", "--lambda", "1e" + digits[2:]],
         "sample-digits": ["sample", "--depth", digits, "--n-samples", digits],
+        "seed-past-digits": ["sample", "--depth", "2", "--n-samples", "1", "--seed", "1" * (limit + 1)],
+        "max-cells-past-digits": ["group", "sphere", "--m", "2", "--max-cells", "1" * (limit + 1)],
+        "depth-past-digits": ["rn", "--g", "a1", "--depth", "1" * (limit + 1)],
     }
 
 

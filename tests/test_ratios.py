@@ -158,7 +158,6 @@ def test_witness_group_closure():
             chained = find_witness(lam, ambient, P30)
             check_witness(chained, ambient, lam)
             assert len(chained.stages) == abs(j + k)
-            assert chained.deviation == 0
     # the two-step witness develops inside the image of the unit witness
     fwd = find_witness(Fraction(n), ambient, P30)
     assert fwd.image.contains(find_witness(Fraction(n) ** 2, ambient, P30).image)
@@ -197,14 +196,10 @@ def test_cylinder_values_match_the_refinement(presentation, k):
     lam = Fraction(presentation.branching) ** k
     for ambient in ambients(presentation):
         witness = find_witness(lam, ambient, presentation)
-        assert [c for c, _ in witness.rn_cells] == list(witness.found)
-        values = {c.base.codes: v for c, v in witness.rn_cells}
-        depths = {len(b) for b in values}
         refined = refined_rn_cells(witness.found, witness.net_element)
         assert len(refined) == witness.rn_check_count
         for codes, exponent in refined:
-            (owner,) = [codes[:d] for d in depths if codes[:d] in values]
-            assert exponent == k and values[owner] == lam
+            assert exponent == k
         # listing the 177,147 cells of (4,0) at k = -5 takes seconds; the smaller
         # cases run the same listing code
         if len(refined) <= 20000:
@@ -215,18 +210,16 @@ def test_cylinder_values_match_the_refinement(presentation, k):
 
 def test_cylinder_value_needs_a_constant_cocycle():
     mover = Word.parse("a3 a2", P30)
-    # a2 a3 cancels all of the mover, a1 none of it: constant on each cylinder
-    assert ratios._rn_cells(CylinderUnion.parse(P30, ["a2 a3"]), mover, Fraction(4)) == (
-        (Cylinder(Word.parse("a2 a3", P30)), Fraction(4)),)
-    assert ratios._rn_cells(CylinderUnion.parse(P30, ["a1"]), mover, Fraction(1, 4)) == (
-        (Cylinder(Word.parse("a1", P30)), Fraction(1, 4)),)
+    # a2 a3 cancels all of the mover, a1 none of it: constant on each cylinder, 4 and 1/4
+    assert ratios._check_scaling(CylinderUnion.parse(P30, ["a2 a3"]), mover, 2) is None
+    assert ratios._check_scaling(CylinderUnion.parse(P30, ["a1"]), mover, -2) is None
     # all of a2 cancels but not all of the mover: its cells scale by 1 and by 4
     with pytest.raises(AssertionError, match="not constant"):
-        ratios._rn_cells(CylinderUnion.parse(P30, ["a2"]), mover, Fraction(1))
+        ratios._check_scaling(CylinderUnion.parse(P30, ["a2"]), mover, 0)
     # constant, but not at the target
-    for base, wrong in (("a1", Fraction(4)), ("a2 a3", Fraction(1, 4))):
+    for base, wrong in (("a1", 2), ("a2 a3", -2)):
         with pytest.raises(AssertionError, match="not constant"):
-            ratios._rn_cells(CylinderUnion.parse(P30, [base]), mover, wrong)
+            ratios._check_scaling(CylinderUnion.parse(P30, [base]), mover, wrong)
 
 
 def count_cocycles(monkeypatch) -> list:
@@ -258,7 +251,6 @@ def test_deep_witness_does_no_per_cell_work(monkeypatch):
     calls = count_cocycles(monkeypatch)
     witness = find_witness(Fraction(1, 3 ** 6), CylinderUnion.parse(p, ["a3 a1"]), p)
     assert len(calls) == len(witness.found.cylinders) == 1
-    assert witness.deviation == 0
     # the refinement the certificate no longer runs: 3**13 cells
     assert witness.rn_check_count == 3 ** 13
 
@@ -272,8 +264,8 @@ def test_witness_pulls_f_back_once(presentation, monkeypatch, k):
     for ambient in ambients(presentation):
         pulled.clear()
         witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
-        assert len(pulled) <= 1
-        assert len(witness.stages) == abs(k) and witness.deviation == 0
+        assert len(pulled) == 1
+        assert len(witness.stages) == abs(k)
 
 
 def test_classify_labels():

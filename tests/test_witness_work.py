@@ -1,0 +1,58 @@
+"""The work a ratio witness does, counted: it grows with its output, not faster."""
+
+from fractions import Fraction
+
+import pytest
+
+import treeboundary.ratios as ratios
+import treeboundary.words as words
+from treeboundary import Cylinder, CylinderUnion, Presentation, Word, find_witness
+
+from conftest import refined_rn_cells
+from test_ratios import ambients
+
+
+@pytest.mark.parametrize("st", [(1, 1), (0, 2)])
+def test_witness_word_work_is_linear_in_k(monkeypatch, st):
+    # every letter the word products reduce, in the words and in the witness layer
+    p, letters = Presentation(*st), []
+    reduce_codes = words._reduce_codes
+
+    def counting(codes, presentation):
+        codes = tuple(codes)
+        letters.append(len(codes))
+        return reduce_codes(codes, presentation)
+
+    monkeypatch.setattr(words, "_reduce_codes", counting)
+    monkeypatch.setattr(ratios, "_reduce_codes", counting)
+    counts = []
+    for k in (250, 500, 1000):
+        letters.clear()
+        find_witness(Fraction(p.branching) ** k, CylinderUnion.full(p), p)
+        counts.append(sum(letters))
+    assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6])
+def test_witness_moves_one_cylinder_once(presentation, monkeypatch, k):
+    # F is the net mover's preimage of the one cylinder the last stage lands on;
+    # no stage moves a set of its own
+    moved, act_cylinder = [], ratios.act_cylinder
+    monkeypatch.setattr(ratios, "act_cylinder", lambda g, cyl: moved.append(cyl) or act_cylinder(g, cyl))
+    for ambient in ambients(presentation):
+        moved.clear()
+        witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
+        assert moved == [(witness.image if k > 0 else witness.found).cylinders[0]]
+
+
+@pytest.mark.parametrize("k", [1, 3, -1, -3])
+def test_rn_checks_are_listed_without_cylinders(presentation, monkeypatch, k):
+    lam = Fraction(presentation.branching) ** k
+    for ambient in ambients(presentation):
+        witness = find_witness(lam, ambient, presentation)
+        refined = refined_rn_cells(witness.found, witness.net_element)
+        monkeypatch.setattr(Cylinder, "descendants", None)
+        data = witness.to_json()
+        monkeypatch.undo()
+        assert data["deviation"] == "0"
+        assert data["rn_checks"] == [{"cell": str(Word(presentation, c)), "value": str(lam)} for c, _ in refined]

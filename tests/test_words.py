@@ -9,14 +9,23 @@ from treeboundary import (
     Presentation,
     ResourceLimitError,
     Word,
+    act_point,
     build_swap,
     cuntz_krieger_matrix,
+    periodic_extension,
     sample,
     sphere,
     sphere_size,
 )
 
-from conftest import PRESENTATIONS, brute_force_sphere, naive_reduce, random_reduced_word, random_union
+from conftest import (
+    PRESENTATIONS,
+    brute_force_sphere,
+    naive_reduce,
+    random_boundary_point,
+    random_reduced_word,
+    random_union,
+)
 
 P30 = Presentation(3, 0)
 P11 = Presentation(1, 1)
@@ -51,6 +60,18 @@ def test_letter_normalization():
     for bad in ("a4", "a1'", "b1", "c1", "a", "a-1"):
         with pytest.raises(ValueError, match="bad letter token"):
             P30.code_of_token(bad)
+
+
+def test_long_or_non_ascii_letter_tokens_are_refused_briefly():
+    # an index is read only when its length fits the generator count, and only in ASCII digits
+    for token in ("a" + "1" * 4400, "a" + "1" * 4000, "a²"):
+        with pytest.raises(ValueError, match="bad letter token") as caught:
+            Word.parse(token, P30)
+        message = str(caught.value)
+        assert len(message) < 200
+        assert "Exceeds the limit" not in message and "invalid literal" not in message
+    assert Word.parse("a01 a0002", P30) == Word.parse("a1 a2", P30)
+    assert Word.parse("b01'", P11) == Word.parse("b1'", P11)
 
 
 def test_reduce_examples():
@@ -215,6 +236,26 @@ def test_words_built_by_construction_pass_the_check(presentation):
         for steps in range(1, 6):
             pieces = build_swap(x, y, steps).forward_pieces()
             assert pieces and pass_the_check(c.base for pc in pieces for c in (pc.domain, pc.image))
+
+
+def test_points_check_no_word_again(monkeypatch, presentation):
+    # a point's letters are reduced once it is built, so moving, truncating or
+    # extending it checks no Word again
+    p, rng = presentation, random.Random(23)
+    points = [random_boundary_point(rng, p) for _ in range(30)]
+    words = [random_reduced_word(rng, p, rng.randrange(0, 6)) for _ in points]
+    ones = sphere(p, 1)
+    swaps = [build_swap(ones[0], ones[-1]), build_swap(*sphere(p, 2)[:2])]
+    checked, post_init = [], Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__", lambda word: (checked.append(word), post_init(word)))
+    for point, g in zip(points, words):
+        act_point(g, point)
+        point.truncate(7)
+        point.cylinder_at(5)
+        periodic_extension(g)
+        for k in swaps:
+            k.apply(point)
+    assert checked == []
 
 
 @given(letter_codes(), st.data())
