@@ -57,7 +57,8 @@ class PiecewiseTranslation:
     first read, holds ``max_step`` steps of the corridor exchange (one when
     the swap closes, none for the identity); ``apply`` evaluates the map at
     any eventually periodic point, however deep it follows a corridor, and
-    never reads the table.
+    never reads the table.  The corridor ends, ``exceptional``, are also
+    normalized on first read: building and verifying make no ``BoundaryPoint``.
     """
 
     def __init__(self, x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP):
@@ -77,13 +78,16 @@ class PiecewiseTranslation:
         # the two letters each corridor repeats, after x and after y: reduced cycles when a != b
         self._corridors = ((p.inverse_code(b), a), (p.inverse_code(a), b))
         self.closed = a == b
-        self.exceptional: dict[BoundaryPoint, BoundaryPoint] = {}
-        if not self.closed:
-            ends = [BoundaryPoint(head, Word._reduced(p, pair)) for head, pair in zip((x, y), self._corridors)]
-            self.exceptional = {ends[0]: ends[1], ends[1]: ends[0]}
         self._max_step = max_step
 
     # -- construction -----------------------------------------------------
+
+    @cached_property
+    def exceptional(self) -> dict[BoundaryPoint, BoundaryPoint]:
+        """The two corridor ends, each mapped to the other; none when the swap closes."""
+        ends = [BoundaryPoint(head, Word._reduced(self.presentation, pair))
+                for head, pair in zip((self.x, self.y), self._corridors) if not self.closed]
+        return dict(zip(ends, reversed(ends)))
 
     @cached_property
     def _steps(self) -> tuple[tuple[Piece, ...], ...]:
@@ -208,6 +212,15 @@ class PiecewiseTranslation:
 def build_swap(x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP) -> PiecewiseTranslation:
     """The measure-preserving involution exchanging the cylinders over x and y."""
     return PiecewiseTranslation(x, y, max_step)
+
+
+def _first_piece(x: Word, y: Word) -> tuple[Word, Cylinder]:
+    """Element ``y x^-1`` and image ``C(y z)`` of ``build_swap(x, y)``'s first piece, without the swap: as in
+    step 1, z is x's first follower but the inverse of y's last letter (x == y: e, C(x)'s first child)."""
+    p = x.presentation
+    corridor_letter = p.inverse_code(y.last_code)
+    z = next(z for z in p.followers(x.codes) if z != corridor_letter)
+    return y * ~x, Cylinder(Word._reduced(p, y.codes + (z,)))
 
 
 @dataclass(frozen=True)

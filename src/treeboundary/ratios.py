@@ -11,21 +11,21 @@ arithmetic is exact, the certificate works for every tolerance at once.
 
 The witness construction for a single factor of n:
 
-* take the first cylinder C of E (descending to a depth-one child when
-  E is the whole boundary) and the first generator g;
-* swap C onto a same-depth cylinder whose word starts with g (the swap
-  is the identity when C already starts with g) and keep the first
-  translation piece of that swap, so the move into g's shadow is by one
-  fixed element;
+* take the first generator g and the first cylinder C of E (C(g) when
+  E is the whole boundary);
+* move C into g's shadow by the first translation piece of its swap onto
+  the first same-depth cylinder starting with g (C itself if C does);
 * cancel g from the front, which multiplies measure by exactly n there;
-* if the result has left E, swap it back onto C and again restrict to
-  the first translation piece.
+* if the result has left E, move it back by the first piece of its swap
+  onto C.
 
-On the restricted set the composite acts by one group element, the
-stage's mover, and lands on one cylinder.  Larger powers chain unit
-stages, each inside the cylinder the previous one lands on; negative
-powers invert the chain.  After the stages the movers' codes are reduced
-once into the net mover t, and F is computed once, as t^-1(t(F)) for the
+Only the first piece of each swap is used, and the corridor rule gives
+its element and image in closed form, so no swap is built.  On the
+restricted set the composite acts by one group element, the stage's
+mover, and lands on one cylinder.  Larger powers chain unit stages,
+each inside the cylinder the previous one lands on; negative powers
+invert the chain.  After the stages the movers' codes are reduced once
+into the net mover t, and F is computed once, as t^-1(t(F)) for the
 cylinder t(F) the last stage lands on.  Containment is then checked on
 cylinders and the scaling by one Busemann cocycle per cylinder of F, in
 exact arithmetic.
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .action import _cancellation, act_cylinder, act_point, fixed_points
 from .cylinders import Cylinder, CylinderUnion
-from .fullgroup import build_swap, transitivity_check
+from .fullgroup import _first_piece, transitivity_check
 from .words import Presentation, Word, _reduce_codes, clip, sphere_size
 
 
@@ -140,13 +140,6 @@ class Witness:
         return out
 
 
-def _first_word_starting_with(p: Presentation, first: int, length: int) -> Word:
-    codes = (first,)
-    while len(codes) < length:
-        codes += p.followers(codes)[:1]
-    return Word._reduced(p, codes)
-
-
 def _check_scaling(f: CylinderUnion, mover: Word, k: int) -> None:
     """Check that ``mover`` scales every cylinder of F by ``n**k``, one cocycle per cylinder.
 
@@ -170,34 +163,24 @@ def _preimage(element: Word, union: CylinderUnion) -> CylinderUnion:
 def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, Cylinder]:
     """A witness stage for one factor of n inside ``ambient``, and the one
     cylinder its mover lands on."""
-    first = ambient.cylinders[0]
-    if first.depth == 0:
-        first = first.children()[0]
-    c = first.base
     gen_code = 0
     g = Word(p, (gen_code,))
+    # E's first cylinder, or C(g), the first depth-one cylinder, when E is the whole boundary
+    c = ambient.cylinders[0].base or g
 
-    if c.codes[0] == gen_code:
-        into_shadow = (c, c)
-        u = p.identity()
-        d1 = first.children()[0]
-    else:
-        w = _first_word_starting_with(p, gen_code, len(c))
-        into_shadow = (c, w)
-        piece = build_swap(c, w, max_step=1).pieces_at_step(1)[0]
-        u = piece.element
-        d1 = piece.domain
-    q1 = Cylinder(u * d1.base)
+    # into g's shadow by the first piece of the swap of c onto w (the identity when c starts with g);
+    # the first word from g alternates g and its first follower, whose first follower is g again
+    path = (gen_code, p.followers((gen_code,))[0]) * len(c)
+    w = c if c.codes[0] == gen_code else Word._reduced(p, path[:len(c)])
+    u, q1 = _first_piece(c, w)
 
-    shifted = Cylinder(~g * q1.base)
-    if ambient.contains(shifted):
-        back_into = (shifted.base, shifted.base)
-        mover, landed = ~g * u, shifted
+    # back onto c by the first piece of that swap, unless g^-1 already moved it into E
+    shifted = ~g * q1.base
+    if ambient.contains(Cylinder(shifted)):
+        back, v, landed = shifted, p.identity(), Cylinder(shifted)
     else:
-        back_into = (shifted.base, c)
-        piece2 = build_swap(shifted.base, c, max_step=1).pieces_at_step(1)[0]
-        mover, landed = piece2.element * ~g * u, piece2.image
-    return WitnessStage(into_shadow, g, back_into, mover), landed
+        back, (v, landed) = c, _first_piece(shifted, c)
+    return WitnessStage((c, w), g, (shifted, back), v * ~g * u), landed
 
 
 def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witness:

@@ -128,6 +128,8 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
         # rows but compares them field by field, about ten times slower
         rows, cnt = np.unique(codes.view(row).ravel(), return_counts=True)
         if dtype.itemsize == 1:
+            # slices of one bytes object: tolist() makes a GC-tracked list per row, which ran the collector
+            # 1100/101/7 times (gen 0/1/2) not 733/67/1 on 200 draws of 1500 depth-80 rows, 10-20 % more CPU
             flat = rows.tobytes()
             keys = [tuple(flat[i:i + depth]) for i in range(0, len(flat), depth)]
         else:

@@ -19,7 +19,7 @@ from treeboundary import (
 
 import treeboundary.fullgroup as fullgroup
 from treeboundary.cylinders import periodic_extension
-from treeboundary.fullgroup import DEFAULT_MAX_STEP
+from treeboundary.fullgroup import DEFAULT_MAX_STEP, _first_piece
 
 from conftest import PRESENTATIONS, pairwise_transitivity, random_boundary_point, random_reduced_word
 
@@ -214,6 +214,34 @@ def test_exceptional_point_lies_in_every_residual():
     # …and its image in the mirrored corridors
     for cx, cy in k.residual_history():
         assert dst.truncate(cy.depth) in (cx.base, cy.base)
+
+
+def test_swaps_build_no_boundary_point_until_the_ends_are_read(monkeypatch, presentation):
+    made = []
+    post_init = BoundaryPoint.__post_init__
+    monkeypatch.setattr(BoundaryPoint, "__post_init__", lambda pt: made.append(pt) or post_init(pt))
+    words = sphere(presentation, 1)
+    swaps = [build_swap(x, y, 4) for x in words for y in words]
+    assert all(verify_swap(k).ok for k in swaps)
+    assert transitivity_check(presentation, 2)
+    assert made == []
+    # the two ends of an open swap are normalized on first read, once
+    k = build_swap(words[0], words[1], 4)
+    assert len(k.exceptional) == 2 and k.exceptional is k.exceptional
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_first_piece_is_the_swaps_first_piece(presentation, m):
+    words = sphere(presentation, m)
+    for x in words:
+        for y in words:
+            if x == y:
+                expected = (presentation.identity(), Cylinder(x).children()[0])
+            else:
+                pc = build_swap(x, y, 1).pieces_at_step(1)[0]
+                expected = (pc.element, pc.image)
+            assert _first_piece(x, y) == expected, (str(x), str(y))
 
 
 def test_pushforward_preserves_cylinder_measures():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treeboundary.fullgroup as fullgroup
 import treeboundary.ratios as ratios
 import treeboundary.words as words
 from treeboundary import Cylinder, CylinderUnion, Presentation, Word, find_witness
@@ -56,3 +57,21 @@ def test_rn_checks_are_listed_without_cylinders(presentation, monkeypatch, k):
         monkeypatch.undo()
         assert data["deviation"] == "0"
         assert data["rn_checks"] == [{"cell": str(Word(presentation, c)), "value": str(lam)} for c, _ in refined]
+
+
+def test_witness_builds_no_swap(presentation, monkeypatch):
+    # each stage takes the first piece of its two swaps in closed form
+    ks = [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6]
+    cases = [(Fraction(presentation.branching) ** k, ambient) for k in ks for ambient in ambients(presentation)]
+    before = [find_witness(lam, ambient, presentation) for lam, ambient in cases]
+
+    def refuse(*args):
+        raise AssertionError("find_witness built a swap")
+
+    monkeypatch.setattr(fullgroup.PiecewiseTranslation, "__init__", refuse)
+    for (lam, ambient), expected in zip(cases, before):
+        witness = find_witness(lam, ambient, presentation)
+        assert witness == expected
+        # (4,0) lists up to 1.6 million rn_checks cells; the smaller listings are compared in full
+        if witness.rn_check_count <= 20000:
+            assert witness.to_json() == expected.to_json()
