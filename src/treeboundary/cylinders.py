@@ -258,6 +258,6 @@ def periodic_extension(word: Word) -> BoundaryPoint:
     p = word.presentation
     first = p.followers(word.codes)
     # a free letter may follow itself; a letter of order two needs a partner
-    free = [z for z in first if z in p.followers((z,))]
+    free = [z for z in first if p.inverse_code(z) != z]
     cycle = free[:1] or [first[0], p.followers(first[:1])[0]]
     return BoundaryPoint(word, Word._reduced(p, tuple(cycle)))

@@ -13,6 +13,7 @@ count, seed) no matter how blocks are scheduled.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,9 +64,9 @@ class SampleBatch:
         return Fraction(hits, self.count)
 
     def cell_counts(self, m: int) -> dict[Word, int]:
-        """Counts aggregated over the depth-m prefix (m <= batch depth)."""
-        if m > self.depth:
-            raise ValueError("aggregation depth exceeds batch depth")
+        """Counts aggregated over the depth-m prefix (0 <= m <= batch depth)."""
+        if not 0 <= m <= self.depth:
+            raise ValueError("aggregation depth must lie between 0 and the batch depth")
         cells: dict[tuple[int, ...], int] = {}
         for w, c in self.counts.items():
             key = w.codes[:m]
@@ -98,8 +99,7 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
 
     ``limit`` bounds the letters drawn, ``count * depth``; a larger batch
     raises ``ResourceLimitError`` before anything is drawn.  ``counts``
-    lists the distinct words of each block in lexicographic order, the
-    blocks one after the other, each word where it first appears.
+    lists the distinct words of the whole batch in lexicographic order.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -112,32 +112,30 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
     degree, n = p.degree, p.branching
     # big-endian letters, so that the bytes of a row sort like its codes
     dtype = np.min_scalar_type(degree - 1).newbyteorder(">")
+    inverse = np.asarray(p.inverse_codes, dtype=dtype)
     row = np.dtype((np.void, depth * dtype.itemsize))
-    succ = np.asarray([p.followers((u,)) for u in range(degree)], dtype=dtype)
-    totals: dict[tuple[int, ...], int] = {}
+    blocks = []
     for block_index in range(0, (count + BLOCK - 1) // BLOCK):
         size = min(BLOCK, count - block_index * BLOCK)
         key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(block_index)])
         rng = np.random.Generator(np.random.Philox(key=key))
-        codes = np.empty((size, depth), dtype=dtype)
-        codes[:, 0] = rng.integers(0, degree, size=size)
-        for col in range(1, depth):
-            draws = rng.integers(0, n, size=size)
-            codes[:, col] = succ[codes[:, col - 1], draws]
-        # one opaque value per row: np.unique(codes, axis=0) gives the same
-        # rows but compares them field by field, about ten times slower
-        rows, cnt = np.unique(codes.view(row).ravel(), return_counts=True)
-        if dtype.itemsize == 1:
-            # slices of one bytes object: tolist() makes a GC-tracked list per row, which ran the collector
-            # 1100/101/7 times (gen 0/1/2) not 733/67/1 on 200 draws of 1500 depth-80 rows, 10-20 % more CPU
-            flat = rows.tobytes()
-            keys = [tuple(flat[i:i + depth]) for i in range(0, len(flat), depth)]
-        else:
-            keys = map(tuple, rows.view(dtype).reshape(-1, depth).tolist())
-        for key_t, c in zip(keys, cnt.tolist()):
-            totals[key_t] = totals.get(key_t, 0) + c
-    # every row is a path through the successor table, so reduced by construction
-    return SampleBatch(p, depth, count, seed, {Word._reduced(p, key_t): c for key_t, c in totals.items()})
+        # a bounded draw below 2**32 takes one 32-bit word, so one call for the columns after the first
+        # draws what a call per column did; every draw is below degree and fits the letter dtype
+        walk = np.concatenate((rng.integers(0, degree, size=(1, size)), rng.integers(0, n, size=(depth - 1, size))),
+                              dtype=dtype, casting="unsafe")
+        for j in range(1, depth):  # follower r of letter u is r below u's inverse and r + 1 from it on
+            walk[j] += walk[j] >= inverse[walk[j - 1]]
+        # one opaque value per row: np.unique(..., axis=0) on the letters gives
+        # the same rows but compares them field by field, about ten times slower
+        blocks.append(np.unique(np.ascontiguousarray(walk.T).view(row).ravel(), return_counts=True))
+    rows, cnt = blocks[0]
+    if len(blocks) > 1:
+        rows, where = np.unique(np.concatenate([r for r, _ in blocks]), return_inverse=True)
+        cnt = np.zeros(len(rows), dtype=np.int64)
+        np.add.at(cnt, where, np.concatenate([c for _, c in blocks]))
+    letters = struct.iter_unpack(">%d%s" % (depth, "BHIQ"[dtype.itemsize.bit_length() - 1]), rows.tobytes())
+    # every row is a path through the tree, so reduced by construction
+    return SampleBatch(p, depth, count, seed, {Word._reduced(p, codes): c for codes, c in zip(letters, cnt.tolist())})
 
 
 @dataclass(frozen=True)

@@ -70,16 +70,18 @@ class Presentation:
         return tuple(self.inverse_code(c) for c in range(self.degree))
 
     @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
-        # the one statement of the tree's shape: every letter may follow u but
-        # u's inverse; the last row, for the empty word, holds every letter
-        d, inverse = self.degree, self.inverse_codes
-        return tuple(tuple(v for v in range(d) if v != inverse[u]) for u in range(d)) + (tuple(range(d)),)
+    def _successors(self) -> list[tuple[int, ...] | None]:
+        return [None] * (self.degree + 1)  # one row per letter and one for the empty word, each built on first use
 
     def followers(self, codes: tuple[int, ...]) -> tuple[int, ...]:
         """The letter codes that may extend ``codes`` to a reduced word, ascending
         (every code for the empty word): the successor table of the boundary shift."""
-        return self._successors[codes[-1] if codes else self.degree]
+        u = codes[-1] if codes else self.degree
+        row = self._successors[u]
+        if row is None:  # the one statement of the tree's shape: every letter may follow u but u's inverse
+            cut = self.inverse_codes[u] if codes else self.degree
+            row = self._successors[u] = (*range(cut), *range(cut + 1, self.degree))
+        return row
 
     def extensions(self, codes: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
         """Every reduced code tuple of length ``depth`` that starts with ``codes``,

@@ -34,6 +34,21 @@ def test_measure_union(capsys):
     assert out == "1/3\n"
 
 
+def test_measure_on_a_wide_tree_builds_only_the_rows_it_reads(capsys):
+    # the successor table holds a row per letter; a full table at s = 2000
+    # is 4 million codes, some 150 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "measure", "--s", "2000", "--t", "0", "--word", "a1 a2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "1/3998000\n")
+    assert peak < 10 * 2**20
+
+
 def test_measure_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "measure", "--s", "3", "--t", "0")
     assert code == 2

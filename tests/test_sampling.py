@@ -20,6 +20,7 @@ from treeboundary import (
     sample,
     sphere,
 )
+from treeboundary.sampling import BLOCK
 
 P30 = Presentation(3, 0)
 
@@ -153,8 +154,9 @@ def test_cell_counts_aggregate_prefixes(presentation):
         got = batch.cell_counts(m)
         assert {w.codes: c for w, c in got.items()} == expected
         assert all(len(w) == m for w in got)
-    with pytest.raises(ValueError):
-        batch.cell_counts(batch.depth + 1)
+    for m in (-1, batch.depth + 1):
+        with pytest.raises(ValueError):
+            batch.cell_counts(m)
 
 
 @pytest.mark.parametrize("st,depth", [((3, 0), 80), ((0, 2), 64)])
@@ -193,6 +195,62 @@ def test_sample_checks_no_word_again(monkeypatch, st, depth):
     monkeypatch.undo()
     for w in [*batch.counts, *cells]:
         assert all(type(c) is int for c in w.codes) and Word(p, w.codes) == w
+
+
+def _column_by_column(p, depth, count, seed):
+    """The sampler before the closed-form walk, kept as a reference: a successor
+    table from ``followers``, one draw per column, blocks merged in a tuple dict."""
+    import numpy as np
+
+    succ = np.asarray([p.followers((u,)) for u in range(p.degree)])
+    totals: dict[tuple[int, ...], int] = {}
+    for b in range(-(-count // BLOCK)):
+        size = min(BLOCK, count - b * BLOCK)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        codes = np.empty((size, depth), dtype=np.int64)
+        codes[:, 0] = rng.integers(0, p.degree, size=size)
+        for col in range(1, depth):
+            codes[:, col] = succ[codes[:, col - 1], rng.integers(0, p.branching, size=size)]
+        for row in map(tuple, codes.tolist()):
+            totals[row] = totals.get(row, 0) + 1
+    return [(Word(p, row), c) for row, c in sorted(totals.items())]
+
+
+@pytest.mark.parametrize("st", [(3, 0), (1, 1), (0, 2), (4, 0), (300, 0), (0, 130)])
+@pytest.mark.parametrize("depth", [1, 80])
+def test_sampler_matches_the_column_by_column_reference(st, depth):
+    p = Presentation(*st)
+    for count, seed in ((1500, 0), (1500, 5), (50, 2), (1, 2)):
+        assert list(sample(p, depth, count, seed).counts.items()) == _column_by_column(p, depth, count, seed)
+
+
+@pytest.mark.parametrize("st", [(3, 0), (300, 0)])
+@pytest.mark.parametrize("depth", [2, 7])
+def test_sampler_matches_the_reference_across_blocks(st, depth):
+    # a second block: the merged counts come in lexicographic order over the batch
+    p = Presentation(*st)
+    assert list(sample(p, depth, BLOCK + 17, 1).counts.items()) == _column_by_column(p, depth, BLOCK + 17, 1)
+
+
+@pytest.mark.parametrize("depth,count,calls", [(2, 1500, 2), (80, 1500, 2), (2, BLOCK + 17, 4)])
+def test_a_block_costs_two_draws_and_no_successor_table(monkeypatch, depth, count, calls):
+    import numpy as np
+
+    expected = sample(P30, depth, count, seed=3).counts
+    made = []
+
+    class Counting(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            made.append(args)
+            return super().integers(*args, **kwargs)
+
+    def refuse(self, codes):
+        raise AssertionError("the sampler read the successor table")
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    monkeypatch.setattr(Presentation, "followers", refuse)
+    assert sample(P30, depth, count, seed=3).counts == expected
+    assert len(made) == calls
 
 
 def test_sample_refuses_batches_above_the_limit():
