@@ -80,18 +80,19 @@ class CylinderUnion:
             given[cyl.base.codes] = cyl
         # in lexicographic order a base sorts directly before the bases below
         # it, so only the last kept base can lie above the next one, and a
-        # complete sibling family can only sit at the top of the stack
+        # complete sibling family can only sit at the top of the stack: the last
+        # ``size`` bases, all children, the last of them ending in one of the two highest letters
         kept: list[tuple[int, ...]] = []
         for base in sorted(given):
             if kept and base[: len(kept[-1])] == kept[-1]:
                 continue
             kept.append(base)
             while kept[-1]:
-                parent = kept[-1][:-1]
-                family = [parent + (z,) for z in p.followers(parent)]
-                if kept[-len(family):] != family:
+                parent, size = kept[-1][:-1], p.branching if len(kept[-1]) > 1 else p.degree
+                if (kept[-1][-1] < p.degree - 2 or len(kept) < size or kept[-size][:-1] != parent
+                        or any(len(b) != len(parent) + 1 for b in kept[-size:])):
                     break
-                kept[-len(family):] = [parent]
+                kept[-size:] = [parent]
         # a stable sort by length turns lexicographic order into shortlex
         canonical = tuple(given[b] if b in given else Cylinder(Word._reduced(p, b)) for b in sorted(kept, key=len))
         object.__setattr__(self, "cylinders", canonical)
@@ -197,16 +198,12 @@ class BoundaryPoint:
             raise ValueError("cycle must be nonempty")
         p = self.prefix.presentation
         cyc = self.cycle.codes
-        if cyc[0] not in p.followers(cyc):
+        if cyc[0] == p.inverse_code(cyc[-1]):
             raise ValueError("cycle does not repeat reducibly")
-        if cyc[0] not in p.followers(self.prefix.codes):
+        if self.prefix and cyc[0] == p.inverse_code(self.prefix.codes[-1]):
             raise ValueError("prefix does not join the cycle reducibly")
-        # primitive cycle
-        period = len(cyc)
-        for d in range(1, len(cyc)):
-            if len(cyc) % d == 0 and cyc == cyc[:d] * (len(cyc) // d):
-                period = d
-                break
+        # primitive cycle: the shortest period that divides the length
+        period = next(d for d in range(1, len(cyc) + 1) if len(cyc) % d == 0 and cyc == cyc[:d] * (len(cyc) // d))
         cyc = cyc[:period]
         # shortest prefix: drop the trailing letters that repeat the cycle backwards, rotating it once
         pre, fold = self.prefix.codes, 0

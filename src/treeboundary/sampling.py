@@ -15,36 +15,49 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, repeat
-from typing import Iterator, Mapping
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Iterator
 
 from .action import act_cylinder
 from .cylinders import Cylinder, CylinderUnion
 from .words import DEFAULT_CELL_LIMIT, Presentation, ResourceLimitError, Word, clip, sphere, sphere_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Depth-d truncations of boundary words drawn under the exact measure."""
+    """Depth-d truncations of boundary words drawn under the exact measure: the
+    distinct ``rows`` in ascending order, each a word's big-endian letters packed
+    into one opaque value whose bytes sort like its codes, with ``row_counts``."""
 
     presentation: Presentation
     depth: int
     count: int
     seed: int
-    counts: Mapping[Word, int]
+    rows: np.ndarray = field(compare=False, repr=False)
+    row_counts: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
-    def _lex(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The distinct code rows in lexicographic order, and the running
-        totals of their counts (``cumulative[i]`` counts the rows before i)."""
-        rows = sorted((w.codes, c) for w, c in self.counts.items())
-        return [r for r, _ in rows], list(accumulate((c for _, c in rows), initial=0))
+    def counts(self) -> dict[Word, int]:
+        """The distinct words with their counts, in lexicographic order, decoded on first read."""
+        return self.cell_counts(self.depth)
+
+    def _codes(self, rows: np.ndarray) -> Iterator[tuple[int, ...]]:
+        """The letter codes of some rows of this batch, one tuple per row, decoded as read."""
+        letter = "BHIQ"[(self.rows.dtype.itemsize // self.depth).bit_length() - 1]
+        return struct.iter_unpack(">%d%s" % (self.depth, letter), rows.view("u1"))
+
+    def _lines(self) -> Iterator[tuple[str, int]]:
+        """Every row as text, with its count, in stored order: at one depth lexicographic order is shortlex."""
+        tokens, codes = self.presentation.tokens, self._codes(self.rows)
+        return ((" ".join([tokens[i] for i in row]), c) for row, c in zip(codes, self.row_counts.tolist()))
 
     def frequency(self, region: CylinderUnion | Cylinder) -> Fraction:
         if isinstance(region, Cylinder):
@@ -53,43 +66,40 @@ class SampleBatch:
             raise ValueError("unions from different presentations")
         if region.cylinders and region.cylinders[-1].depth > self.depth:
             raise ValueError("union is finer than the given truncation depth")
-        # the rows below a base b form the range [b, b + (degree,)) in
-        # lexicographic order, and canonical bases are disjoint
-        rows, cumulative = self._lex
-        end = (self.presentation.degree,)
-        hits = 0
-        for cyl in region.cylinders:
-            b = cyl.base.codes
-            hits += cumulative[bisect_left(rows, b + end)] - cumulative[bisect_left(rows, b)]
-        return Fraction(hits, self.count)
+        import numpy as np
+        # the rows below a base lie between the base padded with the lowest byte
+        # and the base padded with the highest, and canonical bases are disjoint
+        width = self.rows.dtype.itemsize
+        bases = [np.asarray(c.base.codes, dtype=">u%d" % (width // self.depth)).tobytes() for c in region.cylinders]
+        low, high = (np.array([b.ljust(width, pad) for b in bases], self.rows.dtype) for pad in (b"\0", b"\xff"))
+        before = np.concatenate(([0], np.cumsum(self.row_counts)))  # the draws in the rows before row i
+        hits = before[np.searchsorted(self.rows, high, "right")] - before[np.searchsorted(self.rows, low)]
+        return Fraction(int(hits.sum()), self.count)
 
     def cell_counts(self, m: int) -> dict[Word, int]:
-        """Counts aggregated over the depth-m prefix (0 <= m <= batch depth)."""
+        """Counts aggregated over the depth-m prefix (0 <= m <= batch depth), in lexicographic order."""
         if not 0 <= m <= self.depth:
             raise ValueError("aggregation depth must lie between 0 and the batch depth")
-        cells: dict[tuple[int, ...], int] = {}
-        for w, c in self.counts.items():
-            key = w.codes[:m]
-            cells[key] = cells.get(key, 0) + c
-        return {Word._reduced(self.presentation, key): c for key, c in cells.items()}
+        import numpy as np
+        # the rows are sorted, so the rows of one prefix are contiguous
+        prefixes = self.rows.view("u1").reshape(len(self.rows), -1)[:, :m * self.rows.dtype.itemsize // self.depth]
+        starts = np.flatnonzero(np.concatenate(([True], (prefixes[1:] != prefixes[:-1]).any(axis=1))))
+        cells = zip(self._codes(self.rows[starts]), np.add.reduceat(self.row_counts, starts).tolist())
+        # every row is a path through the tree, so reduced by construction
+        return {Word._reduced(self.presentation, codes[:m]): c for codes, c in cells}
 
     def csv_lines(self) -> Iterator[str]:
         """One line per draw, made as it is read: the distinct words in shortlex order, each as often as drawn."""
-        for w in sorted(self.counts, key=lambda w: (len(w), w.codes)):
-            yield from repeat(str(w), self.counts[w])
+        return chain.from_iterable(repeat(text, c) for text, c in self._lines())
 
     def summary_json(self) -> dict:
-        freq = {
-            str(w): [self.counts[w], str(Fraction(self.counts[w], self.count))]
-            for w in sorted(self.counts, key=lambda w: (len(w), w.codes))
-        }
         return {
             "s": self.presentation.s,
             "t": self.presentation.t,
             "depth": self.depth,
             "count": self.count,
             "seed": self.seed,
-            "frequencies": freq,
+            "frequencies": {text: [c, str(Fraction(c, self.count))] for text, c in self._lines()},
         }
 
 
@@ -98,8 +108,8 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
     """Draw ``count`` independent depth-``depth`` truncations under the measure.
 
     ``limit`` bounds the letters drawn, ``count * depth``; a larger batch
-    raises ``ResourceLimitError`` before anything is drawn.  ``counts``
-    lists the distinct words of the whole batch in lexicographic order.
+    raises ``ResourceLimitError`` before anything is drawn.  The batch keeps the
+    packed distinct rows and their counts, and builds no ``Word`` until asked.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -119,9 +129,11 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
         size = min(BLOCK, count - block_index * BLOCK)
         key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(block_index)])
         rng = np.random.Generator(np.random.Philox(key=key))
-        # a bounded draw below 2**32 takes one 32-bit word, so one call for the columns after the first
-        # draws what a call per column did; every draw is below degree and fits the letter dtype
-        walk = np.concatenate((rng.integers(0, degree, size=(1, size)), rng.integers(0, n, size=(depth - 1, size))),
+        # a bounded draw below 2**32 takes one 32-bit word, so one uint32 call for the columns after the
+        # first draws what a call per column did, in half the memory of int64 (uint8 and uint16 take a
+        # buffered path that changes the stream); every draw is below degree and fits the letter dtype
+        walk = np.concatenate((rng.integers(0, degree, size=(1, size)),
+                               rng.integers(0, n, size=(depth - 1, size), dtype=np.uint32)),
                               dtype=dtype, casting="unsafe")
         for j in range(1, depth):  # follower r of letter u is r below u's inverse and r + 1 from it on
             walk[j] += walk[j] >= inverse[walk[j - 1]]
@@ -133,9 +145,7 @@ def sample(p: Presentation, depth: int, count: int, seed: int,
         rows, where = np.unique(np.concatenate([r for r, _ in blocks]), return_inverse=True)
         cnt = np.zeros(len(rows), dtype=np.int64)
         np.add.at(cnt, where, np.concatenate([c for _, c in blocks]))
-    letters = struct.iter_unpack(">%d%s" % (depth, "BHIQ"[dtype.itemsize.bit_length() - 1]), rows.tobytes())
-    # every row is a path through the tree, so reduced by construction
-    return SampleBatch(p, depth, count, seed, {Word._reduced(p, codes): c for codes, c in zip(letters, cnt.tolist())})
+    return SampleBatch(p, depth, count, seed, rows, cnt)
 
 
 @dataclass(frozen=True)
@@ -168,15 +178,11 @@ def empirical_rn(g: Word, batch: SampleBatch, cell_depth: int = 1) -> list[Empir
     if batch.depth <= len(g) + cell_depth:
         raise ValueError("batch depth must exceed element length plus cell depth")
     out = []
-    base_cells = [Cylinder(w) for w in sphere(p, cell_depth)]
-    for cell in base_cells:
+    for cell in map(Cylinder, sphere(p, cell_depth)):
         cell_union = CylinderUnion(p, (cell,))
         moved = act_cylinder(g, cell)
-        p2 = cell.measure
-        p1 = moved.measure
-        p12 = (moved & cell_union).measure
-        m2 = batch.frequency(cell_union)
-        m1 = batch.frequency(moved)
+        p1, p2, p12 = moved.measure, cell.measure, (moved & cell_union).measure
+        m1, m2 = batch.frequency(moved), batch.frequency(cell_union)
         exact = p1 / p2
         if m2 == 0:
             warnings.warn(f"empty cell {cell} in batch; ratio undefined")
@@ -257,11 +263,8 @@ def chi_square(batch: SampleBatch, m: int) -> tuple[float, int, float]:
     Returns (statistic, degrees of freedom, 0.999 threshold).
     """
     p = batch.presentation
-    observed = batch.cell_counts(m)
-    stat = 0.0
-    cells = sphere(p, m)
+    observed, cells = batch.cell_counts(m), sphere(p, m)
     expected = float(Fraction(1, sphere_size(p, m))) * batch.count
-    for w in cells:
-        stat += (observed.get(w, 0) - expected) ** 2 / expected
+    stat = sum((observed.get(w, 0) - expected) ** 2 / expected for w in cells)
     dof = len(cells) - 1
     return stat, dof, chi2_q999(dof)

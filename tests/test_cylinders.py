@@ -10,6 +10,7 @@ from treeboundary import (
     CylinderUnion,
     Presentation,
     Word,
+    act_cylinder,
     periodic_extension,
     sphere,
 )
@@ -72,6 +73,28 @@ def test_union_coalesces_complete_families():
     assert everything == CylinderUnion.full(P30)
     partial = CylinderUnion.parse(P30, ["a1 a2", "a2"])
     assert partial.bases() == ["a2", "a1 a2"]
+
+
+def test_union_normalization_on_a_wide_tree_reads_no_successor_row(monkeypatch):
+    # a complete sibling family is read off the last kept bases, and a junction
+    # off two inverses, so neither builds d - 1 followers per base or per point
+    p, calls = Presentation(20000, 0), []
+    followers = Presentation.followers
+    monkeypatch.setattr(Presentation, "followers", lambda self, codes: calls.append(codes) or followers(self, codes))
+    a1, a2 = Word.parse("a1", p), Word.parse("a2", p)
+    image = act_cylinder(a1, Cylinder(a1))
+    assert len(image.cylinders) == p.degree - 1 and calls == [()]  # the complement reads the root's row
+    children = Cylinder(a2).children()
+    calls.clear()
+    assert CylinderUnion(p, image.cylinders + (Cylinder(a1),)) == CylinderUnion.full(p)
+    assert CylinderUnion(p, children).bases() == ["a2"]
+    assert len(CylinderUnion(p, children[:-1]).cylinders) == p.branching - 1
+    assert str(BoundaryPoint.parse("a3 a1 | a2 a1", p)) == "a3 | a1 a2"
+    with pytest.raises(ValueError):
+        BoundaryPoint.parse("a2 | a2 a3", p)
+    assert calls == []
+    # a deeper base between the children of a family keeps it open
+    assert CylinderUnion.parse(P30, ["a1", "a2 a1", "a3"]).bases() == ["a1", "a3", "a2 a1"]
 
 
 def test_union_measure_matches_inclusion_exclusion_oracle():

@@ -1,5 +1,8 @@
 import hashlib
+import io
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -251,6 +254,54 @@ def test_a_block_costs_two_draws_and_no_successor_table(monkeypatch, depth, coun
     monkeypatch.setattr(Presentation, "followers", refuse)
     assert sample(P30, depth, count, seed=3).counts == expected
     assert len(made) == calls
+
+
+def test_a_batch_builds_no_word_until_asked(monkeypatch):
+    # the batch is its packed rows: drawing, printing and frequencies read them as they are
+    regions = [CylinderUnion.parse(P30, ["a1", "a2 a3"]), Cylinder(Word.parse("a3 a1 a2", P30)), CylinderUnion.full(P30)]
+    reference = sample(P30, 12, 3000, seed=7)
+    lines, summary = list(reference.csv_lines()), reference.summary_json()
+    frequencies = [reference.frequency(r) for r in regions]
+
+    def refuse(*args):
+        raise AssertionError("a Word was built")
+
+    monkeypatch.setattr(Word, "_reduced", refuse)
+    monkeypatch.setattr(Word, "__post_init__", refuse)
+    batch = sample(P30, 12, 3000, seed=7)
+    assert list(batch.csv_lines()) == lines and batch.summary_json() == summary
+    assert [batch.frequency(r) for r in regions] == frequencies
+    assert "counts" not in vars(batch)
+    monkeypatch.undo()
+    assert lines == [str(w) for w, c in batch.counts.items() for _ in range(c)]
+    assert list(summary["frequencies"]) == [str(w) for w in batch.counts]
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_a_deep_csv_batch_holds_only_its_packed_rows(monkeypatch):
+    # the batch costs about 1.1 kB a draw, mostly the draw of one block; a Word and a tuple of codes
+    # per distinct row took some 0.8 kB a draw more
+    from treeboundary.cli import main
+
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["sample", "--s", "3", "--t", "0", "--depth", "150", "--n-samples", "20000", "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines) == (0, 20000)
+    assert peak < 28 * 2**20
 
 
 def test_sample_refuses_batches_above_the_limit():
