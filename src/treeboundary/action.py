@@ -39,8 +39,9 @@ def _cancellation(g: Word, w: Word) -> int:
     """Number of leading letters of ``w`` cancelled in the product ``g * w``."""
     if g.presentation != w.presentation:
         raise ValueError("words from different presentations")
-    c, inverse = 0, g.presentation.inverse_codes
-    while c < min(len(g), len(w)) and g.codes[-1 - c] == inverse[w.codes[c]]:
+    gc, wc, inverse = g.codes, w.codes, g.presentation.inverse_codes
+    c, bound = 0, min(len(gc), len(wc))
+    while c < bound and gc[-1 - c] == inverse[wc[c]]:
         c += 1
     return c
 
@@ -48,19 +49,19 @@ def _cancellation(g: Word, w: Word) -> int:
 def act_cylinder(g: Word, cyl: Cylinder) -> CylinderUnion:
     """The exact image of a cylinder over ``w``, in closed form.
 
-    If ``g`` cancels fewer than all letters of ``w``, it is the cylinder
-    over ``g * w``; otherwise, for nonempty ``w``, the complement of the
-    cylinder over ``g * w[:-1]``, at most ``(len(g * w) + 1) * (degree - 1)``
-    cylinders."""
+    If ``g`` cancels ``c < len(w)`` letters of ``w``, it is the cylinder over ``g * w = g[:len(g) - c] w[c:]``;
+    otherwise, for nonempty ``w``, the complement of the cylinder over ``g * w[:-1] = g[:len(g) - c + 1]``,
+    ``(degree - 1) + (len(g) - c) * (degree - 2)`` cylinders."""
     p = g.presentation
     if p != cyl.presentation:
         raise ValueError("element and cylinder from different presentations")
     w = cyl.base
-    if _cancellation(g, w) < len(w):
-        return CylinderUnion(p, (Cylinder(g * w),))
+    c = _cancellation(g, w)
+    if c < len(w):  # cancellation stopped at c, so the two pieces join reduced
+        return CylinderUnion(p, (Cylinder(Word._reduced(p, g.codes[:len(g) - c] + w.codes[c:])),))
     if not w:
         return CylinderUnion.full(p)
-    return CylinderUnion(p, (Cylinder(g * w.prefix(len(w) - 1)),)).complement()
+    return CylinderUnion(p, (Cylinder(g.prefix(len(g) - c + 1)),)).complement()
 
 
 def rn_exponent(g: Word, base: Word) -> int:

@@ -189,7 +189,12 @@ def _run(args: argparse.Namespace) -> None:
         if (args.word is None) == (args.point is None):
             raise ValueError("give exactly one of --word or --point")
         if args.word is not None:
-            payload = act_cylinder(g, Cylinder(Word.parse(args.word, p))).bases()
+            w = Word.parse(args.word, p)
+            # one cylinder, or, when all of w cancels, the complement of one at depth |g| - |w| + 1
+            size = p.branching + (len(g) - len(w)) * (p.branching - 1) if w and len(g * w) == len(g) - len(w) else 1
+            if size > args.max_cells:
+                raise ResourceLimitError(f"the image would hold more than {clip(args.max_cells)} cylinders")
+            payload = act_cylinder(g, Cylinder(w)).bases()
             text_lines = [", ".join(payload)]
         else:
             payload = str(act_point(g, BoundaryPoint.parse(args.point, p)))

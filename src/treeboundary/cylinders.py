@@ -227,7 +227,8 @@ class BoundaryPoint:
     def truncate(self, m: int) -> Word:
         if m < 0:
             raise ValueError("depth must be nonnegative")
-        return Word._reduced(self.presentation, tuple(self.letter_code_at(i) for i in range(m)))
+        pre, cyc = self.prefix.codes, self.cycle.codes
+        return Word._reduced(self.presentation, (pre + cyc * ((m - len(pre)) // len(cyc) + 1))[:m])
 
     def cylinder_at(self, m: int) -> Cylinder:
         """The unique depth-``m`` cylinder containing the point."""

@@ -31,12 +31,11 @@ depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .action import act_cylinder, act_point
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
-from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere, sphere_size
+from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
 
 DEFAULT_MAX_STEP = 32
 
@@ -157,14 +156,15 @@ class PiecewiseTranslation:
 
     def step_element(self, j: int) -> Word:
         """The translation used at step j, at any j >= 1: ``(y d[:j-1]) (x c[:j-1])^-1``
-        for the corridors c after x and d after y, i.e. ``y (x_m^-1 y_m)^(j-1) x^-1``;
-        a closed swap has no corridor and uses ``y x^-1`` at every step."""
+        for the corridors c after x and d after y, i.e. ``y (x_m^-1 y_m)^(j-1) x^-1``, reduced
+        as written since x_m != y_m; a closed swap has no corridor and uses ``y x^-1`` at every step."""
         if self.is_identity:
             raise ValueError("the identity swap has no steps")
         if j < 1:
             raise ValueError(f"steps are numbered from 1, got {j}")
-        n = 0 if self.closed else j - 1
-        return self._head(1, n) * ~self._head(0, n)
+        if self.closed:
+            return self.y * ~self.x
+        return Word._reduced(self.presentation, self.y.codes + self._corridors[1] * (j - 1) + (~self.x).codes)
 
     # -- evaluation --------------------------------------------------------
 
@@ -278,12 +278,12 @@ def _tiles_support(k: PiecewiseTranslation) -> bool:
 def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     """Structural verification of a swap; failures are reported, not raised.
 
-    Checks, all in exact arithmetic: piece domains and images are
-    pairwise disjoint; each piece preserves measure; the pieces plus the
-    residual corridor tile the two swapped cylinders exactly; the
-    corridor shrinks by exactly one branching factor per step; and every
-    piece genuinely acts by its single group element, both ways (so the
-    swap agrees with a translation wherever it is defined).
+    Checks, all in exact arithmetic: piece domains and images are pairwise disjoint; each
+    piece preserves measure, its domain and image lying at one depth (measure falls strictly
+    with depth); the pieces plus the residual corridor tile the two swapped cylinders exactly;
+    each step leaves the corridor one level deeper, one branching factor lighter; and
+    every piece genuinely acts by its single group element, both ways (so the swap agrees
+    with a translation wherever it is defined).
     """
     fwd = k.forward_pieces()
     # the backward pieces are the forward ones read the other way (image, inverse
@@ -292,17 +292,14 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     checks = [
         Check("domains_disjoint", disjoint),
         Check("images_disjoint", disjoint),
-        Check("pieces_preserve_measure", all(pc.domain.measure == pc.image.measure for pc in fwd)),
+        Check("pieces_preserve_measure", all(pc.domain.depth == pc.image.depth for pc in fwd)),
     ]
 
     if k.is_identity:
         checks.append(Check("covers_support", not fwd, "identity swap has no pieces"))
     else:
         checks.append(Check("covers_support", _tiles_support(k)))
-        residual_ok = all(
-            cx.measure == cy.measure == Fraction(1, sphere_size(k.presentation, k.m + j))
-            for j, (cx, cy) in enumerate(k.residual_history(), start=1)
-        )
+        residual_ok = all(cx.depth == cy.depth == k.m + j for j, (cx, cy) in enumerate(k.residual_history(), start=1))
         detail = "geometric decay with ratio 1/branching" if residual_ok else "unexpected residual mass"
         checks.append(Check("residual_measures", residual_ok, detail))
 
@@ -333,7 +330,7 @@ def transitivity_check(p: Presentation, m: int, limit: int | None = DEFAULT_CELL
     for y in others:
         # two steps exclude each corridor letter once
         k = build_swap(first, y, 2)
-        measure_ok = all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces())
+        measure_ok = all(pc.domain.depth == pc.image.depth for pc in k.forward_pieces())
         if not (measure_ok and _tiles_support(k)):
             return False
     return True

@@ -47,7 +47,8 @@ class SampleBatch:
     @cached_property
     def counts(self) -> dict[Word, int]:
         """The distinct words with their counts, in lexicographic order, decoded on first read."""
-        return self.cell_counts(self.depth)
+        p = self.presentation  # every row is a path through the tree, so reduced by construction
+        return {Word._reduced(p, codes): c for codes, c in zip(self._codes(self.rows), self.row_counts.tolist())}
 
     def _codes(self, rows: np.ndarray) -> Iterator[tuple[int, ...]]:
         """The letter codes of some rows of this batch, one tuple per row, decoded as read."""

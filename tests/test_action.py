@@ -21,6 +21,7 @@ from treeboundary import (
 )
 
 import treeboundary.action as action
+import treeboundary.words as words
 
 from conftest import (
     PRESENTATIONS,
@@ -88,6 +89,39 @@ def test_act_cylinder_matches_membership_oracle():
             depth = len(g) + len(base) + 1
             image = act_cylinder(g, Cylinder(base))
             assert union_truncations(image, depth) == image_by_membership(g, base, depth)
+
+
+def _image_by_products(g, base):
+    """The image as first written, with products: the cylinder over g * base unless all of
+    base cancels, then the complement of the cylinder over g * base[:-1]."""
+    p = g.presentation
+    if len(g * base) > len(g) - len(base):
+        return CylinderUnion(p, (Cylinder(g * base),))
+    if not base:
+        return CylinderUnion.full(p)
+    return CylinderUnion(p, (Cylinder(g * base.prefix(len(base) - 1)),)).complement()
+
+
+def test_act_cylinder_is_closed_form_without_products(monkeypatch, presentation):
+    p = presentation
+    short = [y for m in range(5) for y in sphere(p, m)]
+    # the size in closed form: one cylinder unless all of a nonempty base cancels
+    expected = {
+        (g, base): (_image_by_products(g, base),
+                    p.branching + (len(g) - len(base)) * (p.branching - 1)
+                    if base and len(g * base) == len(g) - len(base) else 1)
+        for g in short for base in short
+    }
+
+    def refuse(*args):
+        raise AssertionError("act_cylinder multiplied or reduced words")
+
+    monkeypatch.setattr(words, "_reduce_codes", refuse)
+    monkeypatch.setattr(Word, "__mul__", refuse)
+    for (g, base), (image, size) in expected.items():
+        moved = act_cylinder(g, Cylinder(base))
+        assert moved == image
+        assert len(moved.cylinders) == size
 
 
 def test_act_cylinder_deeper_refinement_gives_same_union():

@@ -87,6 +87,37 @@ def test_act_on_cylinder(capsys):
     assert json.loads(out) == ["a2", "a3"]
 
 
+def test_act_refuses_an_image_above_max_cells_before_building_it(capsys):
+    # the complement of C(a1) on 300,000 letters is 299,999 cylinders
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "act", "--s", "300000", "--t", "0", "--g", "a1", "--word", "a1",
+                             "--max-cells", "1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "more than 1000 cylinders" in err
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("st, g, word", [
+    ((3, 0), "a1", "a1"), ((3, 0), "a2 a3 a1", "a1 a3"), ((3, 0), "a1 a2", "a3"), ((3, 0), "a1", "e"),
+    ((1, 1), "b1 a1 b1", "b1' a1 b1'"), ((1, 1), "b1 a1", "b1 a1"), ((0, 2), "b2 b1 b1", "b1' b1' b2'"),
+    ((4, 0), "a4 a3 a2 a1", "a1"), ((4, 0), "a1 a2", "a2 a1"), ((300, 0), "a1 a2", "a2"),
+])
+def test_act_answers_at_max_cells_equal_to_the_image_size(capsys, st, g, word):
+    flags = ["act", "--s", str(st[0]), "--t", str(st[1]), "--g", g, "--word", word]
+    code, out, _ = run(capsys, *flags)
+    assert code == 0
+    size = len(out.split(", "))
+    assert run(capsys, *flags, "--max-cells", str(size)) == (0, out, "")
+    code, _, err = run(capsys, *flags, "--max-cells", str(size - 1))
+    assert code == 3 and "cylinders" in err
+
+
 def test_act_on_point(capsys):
     code, out, _ = run(capsys, "act", "--s", "3", "--t", "0", "--g", "a1", "--point", "a1 | a2 a3")
     assert code == 0

@@ -18,6 +18,7 @@ from treeboundary import (
 from conftest import (
     PRESENTATIONS,
     brute_force_sphere,
+    random_boundary_point,
     random_reduced_word,
     random_union,
     truncation_measure,
@@ -244,6 +245,20 @@ def test_cylinder_at_nesting():
     om = BoundaryPoint(Word.parse("a3", P30), Word.parse("a1 a2", P30))
     for m in range(1, 8):
         assert om.cylinder_at(m + 1).base.startswith(om.cylinder_at(m).base)
+
+
+def test_truncate_slices_the_unrolled_point(monkeypatch, presentation):
+    # the reference reads the point letter by letter
+    rng = random.Random(11)
+    points = [random_boundary_point(rng, presentation, 5, 4) for _ in range(60)]
+    expected = {(pt, m): tuple(pt.letter_code_at(i) for i in range(m)) for pt in points for m in range(16)}
+
+    def refuse(self, i):
+        raise AssertionError("truncate read a letter at a time")
+
+    monkeypatch.setattr(BoundaryPoint, "letter_code_at", refuse)
+    for (pt, m), codes in expected.items():
+        assert pt.truncate(m) == Word(presentation, codes)
 
 
 def test_periodic_extension():

@@ -18,6 +18,8 @@ from treeboundary import (
 )
 
 import treeboundary.fullgroup as fullgroup
+import treeboundary.words as words_module
+from treeboundary.words import sphere_size
 from treeboundary.cylinders import periodic_extension
 from treeboundary.fullgroup import DEFAULT_MAX_STEP, _first_piece
 
@@ -89,6 +91,31 @@ def test_first_three_step_elements_follow_the_alternating_pattern():
         assert k.step_element(3) == y * ~xm * ym * ~xm * ym * ~x
 
 
+def test_step_elements_are_written_without_products(monkeypatch, presentation):
+    # the reference multiplies the two corridor heads, or y by x^-1 when the swap closes
+    p = presentation
+    expected = {}
+    for m in (1, 2, 3):
+        for x in sphere(p, m):
+            for y in sphere(p, m):
+                if x != y:
+                    k = build_swap(x, y, 6)
+                    expected[k] = ([y * ~x] * 6 if k.closed else
+                                   [k._head(1, j - 1) * ~k._head(0, j - 1) for j in range(1, 7)])
+    for k, elements in expected.items():
+        if k.closed:
+            assert [k.step_element(j) for j in range(1, 7)] == elements
+
+    def refuse(*args):
+        raise AssertionError("an open swap's step element multiplied or reduced words")
+
+    monkeypatch.setattr(words_module, "_reduce_codes", refuse)
+    monkeypatch.setattr(Word, "__mul__", refuse)
+    for k, elements in expected.items():
+        if not k.closed:
+            assert [k.step_element(j) for j in range(1, 7)] == elements
+
+
 def test_step_exclusions_follow_parity():
     p = Presentation(0, 2)
     x, y = Word.parse("b1", p), Word.parse("b2", p)
@@ -114,6 +141,37 @@ def test_verify_swap_small_cases(presentation):
         for y in words1:
             report = verify_swap(build_swap(x, y, 4))
             assert report.ok, report.to_json()
+
+
+@pytest.mark.parametrize("max_step", [1, 3])
+def test_verify_swap_compares_depths_not_measures(monkeypatch, presentation, max_step):
+    # the reference reads both measure checks from the measures, as the report first did
+    p = presentation
+    expected = {}
+    for m in (1, 2):
+        for x in sphere(p, m):
+            for y in sphere(p, m):
+                k = build_swap(x, y, max_step)
+                report = verify_swap(k).to_json()
+                residual = enumerate(k.residual_history(), start=1)
+                by_measure = {
+                    "pieces_preserve_measure": all(pc.domain.measure == pc.image.measure
+                                                   for pc in k.forward_pieces()),
+                    "residual_measures": all(cx.measure == cy.measure == Fraction(1, sphere_size(p, m + j))
+                                             for j, (cx, cy) in residual),
+                }
+                for check in report["checks"]:
+                    check["ok"] = by_measure.get(check["name"], check["ok"])
+                expected[k] = report
+    transitive = {m: pairwise_transitivity(p, m) for m in (1, 2)}
+
+    def refuse(self):
+        raise AssertionError("a measure was read")
+
+    monkeypatch.setattr(Cylinder, "measure", property(refuse))
+    for k, report in expected.items():
+        assert verify_swap(k).to_json() == report
+    assert {m: transitivity_check(p, m) for m in (1, 2)} == transitive
 
 
 @pytest.mark.parametrize("p, x, y", [(P30, "a1", "a2"), (Presentation(0, 2), "b1", "b2")])

@@ -162,6 +162,14 @@ def test_cell_counts_aggregate_prefixes(presentation):
             batch.cell_counts(m)
 
 
+def test_counts_decode_the_rows_without_regrouping(monkeypatch, presentation):
+    # the rows are already distinct, so the counts are the full-depth cells as they stand
+    batch = sample(presentation, 6, 3000, seed=9)
+    expected = list(batch.cell_counts(batch.depth).items())
+    monkeypatch.setattr(type(batch), "cell_counts", lambda self, m: pytest.fail("counts regrouped the rows"))
+    assert list(batch.counts.items()) == expected
+
+
 @pytest.mark.parametrize("st,depth", [((3, 0), 80), ((0, 2), 64)])
 def test_deep_batches_do_not_overflow(st, depth):
     # degree**depth is past 2**63 here; word ids packed into int64 overflowed
