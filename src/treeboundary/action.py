@@ -46,22 +46,25 @@ def _cancellation(g: Word, w: Word) -> int:
     return c
 
 
+def image_size(g: Word, w: Word) -> int:
+    """The number of cylinders in ``act_cylinder(g, Cylinder(w))``: one, or, when ``g`` cancels all ``c = len(w) > 0``
+    letters of ``w``, the ``n + (len(g) - c) * (n - 1)`` of a complement, ``n`` the branching number."""
+    n, c = g.presentation.branching, _cancellation(g, w)
+    return n + (len(g) - c) * (n - 1) if w and c == len(w) else 1
+
+
 def act_cylinder(g: Word, cyl: Cylinder) -> CylinderUnion:
     """The exact image of a cylinder over ``w``, in closed form.
 
     If ``g`` cancels ``c < len(w)`` letters of ``w``, it is the cylinder over ``g * w = g[:len(g) - c] w[c:]``;
-    otherwise, for nonempty ``w``, the complement of the cylinder over ``g * w[:-1] = g[:len(g) - c + 1]``,
-    ``(degree - 1) + (len(g) - c) * (degree - 2)`` cylinders."""
-    p = g.presentation
-    if p != cyl.presentation:
-        raise ValueError("element and cylinder from different presentations")
-    w = cyl.base
-    c = _cancellation(g, w)
-    if c < len(w):  # cancellation stopped at c, so the two pieces join reduced
-        return CylinderUnion(p, (Cylinder(Word._reduced(p, g.codes[:len(g) - c] + w.codes[c:])),))
+    otherwise, for nonempty ``w``, the complement of the cylinder over ``g * w[:-1] = g[:len(g) - c + 1]``."""
+    p, w = g.presentation, cyl.base.codes
+    c = _cancellation(g, cyl.base)  # which checks that g and the cylinder share a presentation
+    if c < len(w):  # cancellation stopped at c, so the two pieces join reduced: one cylinder is canonical
+        return CylinderUnion._canonical(p, (g.codes[:len(g) - c] + w[c:],))
     if not w:
         return CylinderUnion.full(p)
-    return CylinderUnion(p, (Cylinder(g.prefix(len(g) - c + 1)),)).complement()
+    return CylinderUnion._canonical(p, (g.codes[:len(g) - c + 1],)).complement()
 
 
 def rn_exponent(g: Word, base: Word) -> int:

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .action import act_cylinder, act_point, rn_table
+from .action import act_cylinder, act_point, image_size, rn_table
 from .cylinders import BoundaryPoint, Cylinder, CylinderUnion, Word
 from .fullgroup import build_swap, transitivity_check, verify_swap
 from .ratios import classify, find_witness, realized_rn_values
@@ -181,7 +181,7 @@ def _run(args: argparse.Namespace) -> None:
         if (args.word is None) == (args.union is None):
             raise ValueError("give exactly one of --word or --union")
         union = CylinderUnion.parse(p, [args.word] if args.union is None else json.loads(args.union))
-        _printable("measure", max((c.depth for c in union), default=0) - 1, p.branching, p.degree)
+        _printable("measure", union.depth - 1, p.branching, p.degree)
         payload = str(union.measure)
         text_lines = [payload]
     elif args.command == "act":
@@ -190,9 +190,7 @@ def _run(args: argparse.Namespace) -> None:
             raise ValueError("give exactly one of --word or --point")
         if args.word is not None:
             w = Word.parse(args.word, p)
-            # one cylinder, or, when all of w cancels, the complement of one at depth |g| - |w| + 1
-            size = p.branching + (len(g) - len(w)) * (p.branching - 1) if w and len(g * w) == len(g) - len(w) else 1
-            if size > args.max_cells:
+            if image_size(g, w) > args.max_cells:
                 raise ResourceLimitError(f"the image would hold more than {clip(args.max_cells)} cylinders")
             payload = act_cylinder(g, Cylinder(w)).bases()
             text_lines = [", ".join(payload)]

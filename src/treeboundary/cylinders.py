@@ -9,23 +9,25 @@ every deeper level, so a depth-m cylinder has mass ``1/sphere_size(m)``,
 no floating point enters any computation here.
 
 Finite unions of cylinders form the computable set algebra used by the
-rest of the package.  A union is kept in canonical form: no base word is
-a prefix of another, complete sibling families are merged into their
-parent, and the bases are sorted shortlex.  Canonical bases are the
-maximal cylinders inside the union, so a cylinder lies in the union
-exactly when some base is a prefix of its base word.  In lexicographic
-order a word sorts directly before every word below it, so that question
-is one binary search: only the nearest base at or before the word can
-be its prefix.  Intersection, containment and membership are built from
-this lookup, and the complement from the set of prefixes of the bases.
+rest of the package.  A union is kept in canonical form, its maximal
+cylinders: no base word is a prefix of another, and complete sibling
+families are merged into their parent.  It stores the bases' letter codes
+in lexicographic order, and builds its shortlex ``Cylinder`` view only for
+output.  In that order a word sorts directly before every word below it,
+so whether a cylinder lies in the union is one binary search: only the
+nearest base at or before its base word can be a prefix of it.
+Intersection, containment and membership are built from this lookup, and
+the complement from the set of prefixes of the bases.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property
+from itertools import pairwise
+from typing import Iterable, Iterator, Sequence
 
 from .words import Presentation, Word, sphere_size
 
@@ -49,12 +51,10 @@ class Cylinder:
         return Fraction(1, sphere_size(self.presentation, self.depth))
 
     def children(self) -> tuple["Cylinder", ...]:
-        p, codes = self.presentation, self.base.codes
-        return tuple(Cylinder(Word._reduced(p, codes + (z,))) for z in p.followers(codes))
+        return tuple(self.descendants(self.depth + 1))
 
     def descendants(self, depth: int) -> list["Cylinder"]:
-        """All sub-cylinders at the given absolute depth (>= own depth), in
-        lexicographic order."""
+        """All sub-cylinders at absolute depth ``depth``, at least the own depth, in lexicographic order."""
         p = self.presentation
         return [Cylinder(Word._reduced(p, codes)) for codes in p.extensions(self.base.codes, depth)]
 
@@ -62,41 +62,56 @@ class Cylinder:
         return str(self.base)
 
 
-@dataclass(frozen=True)
+def _normalise(p: Presentation, bases: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The canonical bases of the union of the cylinders over ``bases``, in lexicographic order."""
+    # in lexicographic order a base sorts directly before the bases below it, so
+    # only the last kept base can lie above the next one, and a complete sibling
+    # family can only sit at the top of the stack: the last ``size`` bases, all
+    # children, the last of them ending in one of the two highest letters
+    kept: list[tuple[int, ...]] = []
+    for base in sorted(set(bases)):
+        if kept and base[: len(kept[-1])] == kept[-1]:
+            continue
+        kept.append(base)
+        while kept[-1]:
+            parent, size = kept[-1][:-1], p.branching if len(kept[-1]) > 1 else p.degree
+            if (kept[-1][-1] < p.degree - 2 or len(kept) < size or kept[-size][:-1] != parent
+                    or any(len(b) != len(parent) + 1 for b in kept[-size:])):
+                break
+            kept[-size:] = [parent]
+    return tuple(kept)
+
+
+def _disjoint(bases: Iterable[tuple[int, ...]]) -> bool:
+    """Whether no base is a prefix of another: in lexicographic order only the next base can lie below one."""
+    return all(b[: len(a)] != a for a, b in pairwise(sorted(bases)))
+
+
+@dataclass(frozen=True, init=False)
 class CylinderUnion:
-    """A finite union of cylinders, always held in canonical form."""
+    """A finite union of cylinders, held as its canonical bases' codes in lexicographic order."""
 
     presentation: Presentation
-    cylinders: tuple[Cylinder, ...]
-    # the canonical bases again, in lexicographic order
-    _lex: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _lex: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        p = self.presentation
-        given: dict[tuple[int, ...], Cylinder] = {}
-        for cyl in self.cylinders:
-            if cyl.presentation != p:
-                raise ValueError("cylinder from a different presentation")
-            given[cyl.base.codes] = cyl
-        # in lexicographic order a base sorts directly before the bases below
-        # it, so only the last kept base can lie above the next one, and a
-        # complete sibling family can only sit at the top of the stack: the last
-        # ``size`` bases, all children, the last of them ending in one of the two highest letters
-        kept: list[tuple[int, ...]] = []
-        for base in sorted(given):
-            if kept and base[: len(kept[-1])] == kept[-1]:
-                continue
-            kept.append(base)
-            while kept[-1]:
-                parent, size = kept[-1][:-1], p.branching if len(kept[-1]) > 1 else p.degree
-                if (kept[-1][-1] < p.degree - 2 or len(kept) < size or kept[-size][:-1] != parent
-                        or any(len(b) != len(parent) + 1 for b in kept[-size:])):
-                    break
-                kept[-size:] = [parent]
+    def __init__(self, presentation: Presentation, cylinders: Iterable[Cylinder]):
+        bases = [cyl.base for cyl in cylinders]
+        if any(b.presentation != presentation for b in bases):
+            raise ValueError("cylinder from a different presentation")
+        vars(self).update(presentation=presentation, _lex=_normalise(presentation, (b.codes for b in bases)))
+
+    @classmethod
+    def _canonical(cls, p: Presentation, lex: tuple[tuple[int, ...], ...]) -> "CylinderUnion":
+        """The union over ``lex``, already canonical bases in lexicographic order: not normalised again."""
+        union = object.__new__(cls)
+        vars(union).update(presentation=p, _lex=lex)
+        return union
+
+    @cached_property
+    def cylinders(self) -> tuple[Cylinder, ...]:
+        """The canonical cylinders in shortlex order, built on first read."""
         # a stable sort by length turns lexicographic order into shortlex
-        canonical = tuple(given[b] if b in given else Cylinder(Word._reduced(p, b)) for b in sorted(kept, key=len))
-        object.__setattr__(self, "cylinders", canonical)
-        object.__setattr__(self, "_lex", tuple(kept))
+        return tuple(Cylinder(Word._reduced(self.presentation, b)) for b in sorted(self._lex, key=len))
 
     def _covers(self, codes: tuple[int, ...]) -> bool:
         """Whether some base is a prefix of ``codes``: only the last base
@@ -106,51 +121,57 @@ class CylinderUnion:
 
     @classmethod
     def empty(cls, p: Presentation) -> "CylinderUnion":
-        return cls(p, ())
+        return cls._canonical(p, ())
 
     @classmethod
     def full(cls, p: Presentation) -> "CylinderUnion":
-        return cls(p, (Cylinder(p.identity()),))
+        return cls._canonical(p, ((),))
 
     @property
     def is_empty(self) -> bool:
-        return not self.cylinders
+        return not self._lex
+
+    @property
+    def depth(self) -> int:
+        """The depth of the deepest base, 0 for the empty union."""
+        return max(map(len, self._lex), default=0)
 
     @property
     def measure(self) -> Fraction:
-        return sum((cyl.measure for cyl in self.cylinders), Fraction(0))
+        return sum((Fraction(1, sphere_size(self.presentation, len(b))) for b in self._lex), Fraction(0))
 
     def __iter__(self) -> Iterator[Cylinder]:
         return iter(self.cylinders)
 
     def __or__(self, other: "CylinderUnion") -> "CylinderUnion":
         self._check(other)
-        return CylinderUnion(self.presentation, self.cylinders + other.cylinders)
+        return CylinderUnion._canonical(self.presentation, _normalise(self.presentation, self._lex + other._lex))
 
     def __and__(self, other: "CylinderUnion") -> "CylinderUnion":
+        """The bases of each union that the other covers: each is a maximal cylinder
+        of the intersection, so together they are its canonical bases."""
         self._check(other)
-        mine = tuple(cyl for cyl in self.cylinders if other._covers(cyl.base.codes))
-        theirs = tuple(cyl for cyl in other.cylinders if self._covers(cyl.base.codes))
-        return CylinderUnion(self.presentation, mine + theirs)
+        both = {*filter(other._covers, self._lex), *filter(self._covers, other._lex)}
+        return CylinderUnion._canonical(self.presentation, tuple(sorted(both)))
 
     def __sub__(self, other: "CylinderUnion") -> "CylinderUnion":
-        self._check(other)
         return self & other.complement()
 
     def contains(self, other: "CylinderUnion | Cylinder") -> bool:
         self._check(other)
-        cylinders = (other,) if isinstance(other, Cylinder) else other.cylinders
-        return all(self._covers(cyl.base.codes) for cyl in cylinders)
+        bases = (other.base.codes,) if isinstance(other, Cylinder) else other._lex
+        return all(self._covers(b) for b in bases)
 
     def complement(self) -> "CylinderUnion":
-        """Every child of a proper prefix of a base that is not itself a prefix."""
+        """Every child of a proper prefix of a base that is not itself a prefix.  Each
+        proper prefix keeps a child inside, so no sibling family is complete."""
         p = self.presentation
         if not self._lex:
             return CylinderUnion.full(p)
         inner = {b[:i] for b in self._lex for i in range(len(b))}
         prefixes = inner.union(self._lex)
         outside = [child for q in inner for z in p.followers(q) if (child := q + (z,)) not in prefixes]
-        return CylinderUnion(p, tuple(Cylinder(Word._reduced(p, b)) for b in outside))
+        return CylinderUnion._canonical(p, tuple(sorted(outside)))
 
     def covers_word(self, word: Word) -> bool:
         """Whether every boundary word with this finite prefix lies inside.
@@ -158,7 +179,7 @@ class CylinderUnion:
         Only valid when the union's bases are no deeper than the word.
         """
         self._check(word)
-        if self.cylinders and self.cylinders[-1].depth > len(word):
+        if self.depth > len(word):
             raise ValueError("union is finer than the given truncation depth")
         return self._covers(word.codes)
 
@@ -174,9 +195,6 @@ class CylinderUnion:
     def _check(self, other: "CylinderUnion | Cylinder | Word") -> None:
         if self.presentation != other.presentation:
             raise ValueError("unions from different presentations")
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(self.bases()) + "}"
 
 
 @dataclass(frozen=True)

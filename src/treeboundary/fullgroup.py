@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .action import act_cylinder, act_point
-from .cylinders import BoundaryPoint, Cylinder, CylinderUnion
+from .cylinders import BoundaryPoint, Cylinder, CylinderUnion, _disjoint
 from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
 
 DEFAULT_MAX_STEP = 32
@@ -253,26 +253,14 @@ class SwapReport:
         }
 
 
-def _pairwise_disjoint(cylinders: list[Cylinder]) -> bool:
-    bases = sorted(cyl.base.codes for cyl in cylinders)
-    for a, b in zip(bases, bases[1:]):
-        if b[: len(a)] == a:
-            return False
-    return True
-
-
 def _tiles_support(k: PiecewiseTranslation) -> bool:
     """Whether the forward pieces plus the residual corridor tile C(x), and
     their images plus the residual image tile C(y)."""
-    p = k.presentation
     residual = k.residual
-    extra_dom = (residual[0],) if residual else ()
-    extra_img = (residual[1],) if residual else ()
-    fwd = k.forward_pieces()
-    cover_x = CylinderUnion(p, tuple(pc.domain for pc in fwd) + extra_dom)
-    cover_y = CylinderUnion(p, tuple(pc.image for pc in fwd) + extra_img)
+    tiles = [(pc.domain, pc.image) for pc in k.forward_pieces()] + ([residual] if residual else [])
     # one cylinder is a canonical union: every sibling family has two members or more
-    return cover_x.cylinders == (Cylinder(k.x),) and cover_y.cylinders == (Cylinder(k.y),)
+    return all(CylinderUnion(k.presentation, [tile[side] for tile in tiles])._lex == (head.codes,)
+               for side, head in enumerate((k.x, k.y)))
 
 
 def verify_swap(k: PiecewiseTranslation) -> SwapReport:
@@ -288,7 +276,7 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     fwd = k.forward_pieces()
     # the backward pieces are the forward ones read the other way (image, inverse
     # element, domain), so both disjointness checks test the same two lists
-    disjoint = _pairwise_disjoint([pc.domain for pc in fwd]) and _pairwise_disjoint([pc.image for pc in fwd])
+    disjoint = _disjoint(pc.domain.base.codes for pc in fwd) and _disjoint(pc.image.base.codes for pc in fwd)
     checks = [
         Check("domains_disjoint", disjoint),
         Check("images_disjoint", disjoint),
@@ -304,11 +292,8 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
         checks.append(Check("residual_measures", residual_ok, detail))
 
     # each image must be exactly the one cylinder, a canonical union as it stands
-    translation_ok = all(
-        act_cylinder(pc.element, pc.domain).cylinders == (pc.image,)
-        and act_cylinder(~pc.element, pc.image).cylinders == (pc.domain,)
-        for pc in fwd
-    )
+    translation_ok = all(act_cylinder(pc.element, pc.domain)._lex == (pc.image.base.codes,)
+                         and act_cylinder(~pc.element, pc.image)._lex == (pc.domain.base.codes,) for pc in fwd)
     checks.append(Check("pieces_act_by_group_elements", translation_ok))
     return SwapReport(str(k.x), str(k.y), k.step_count, tuple(checks))
 

@@ -153,11 +153,9 @@ def _check_scaling(f: CylinderUnion, mover: Word, k: int) -> None:
             raise AssertionError("witness scaling is not constant at the target value")
 
 
-def _preimage(element: Word, union: CylinderUnion) -> CylinderUnion:
-    inverse = ~element
-    return CylinderUnion(union.presentation, tuple(
-        piece for cyl in union for piece in act_cylinder(inverse, cyl)
-    ))
+def _preimage(element: Word, cyl: Cylinder) -> CylinderUnion:
+    """The preimage of a cylinder under ``element``: its image under the inverse, canonical as it stands."""
+    return act_cylinder(~element, cyl)
 
 
 def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, Cylinder]:
@@ -165,8 +163,8 @@ def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, 
     cylinder its mover lands on."""
     gen_code = 0
     g = Word(p, (gen_code,))
-    # E's first cylinder, or C(g), the first depth-one cylinder, when E is the whole boundary
-    c = ambient.cylinders[0].base or g
+    # E's first cylinder in shortlex order, or C(g), the first depth-one cylinder, when E is the whole boundary
+    c = Word._reduced(p, min(ambient._lex, key=len)) or g
 
     # into g's shadow by the first piece of the swap of c onto w (the identity when c starts with g);
     # the first word from g alternates g and its first follower, whose first follower is g again
@@ -205,15 +203,13 @@ def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witn
     for _ in range(abs(k)):
         stage, landed = _unit_stage(image, p)
         stages.append(stage)
-        image = CylinderUnion(p, (landed,))
-    # t: the stage movers' codes reduced once; F = t^-1(t(F)), with t(F) where the last stage lands
+        image = CylinderUnion._canonical(p, (landed.base.codes,))  # one cylinder is canonical
+    # t: the stage movers' codes reduced once; F = t^-1(t(F)), with t(F) the cylinder the last stage lands on
     mover = Word._reduced(p, _reduce_codes([c for st in reversed(stages) for c in st.mover.codes], p))
-    found = _preimage(mover, image)
+    found = _preimage(mover, landed)
 
     if not ambient.contains(found) or not ambient.contains(image):
         raise AssertionError("witness containment failed")
-    if found.measure <= 0:
-        raise AssertionError("witness set has measure zero")
     if k < 0:
         # the inverse chain maps the image back onto F
         stages = [st.inverted() for st in reversed(stages)]

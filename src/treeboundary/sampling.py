@@ -61,17 +61,17 @@ class SampleBatch:
         return ((" ".join([tokens[i] for i in row]), c) for row, c in zip(codes, self.row_counts.tolist()))
 
     def frequency(self, region: CylinderUnion | Cylinder) -> Fraction:
-        if isinstance(region, Cylinder):
-            region = CylinderUnion(self.presentation, (region,))
+        if isinstance(region, Cylinder):  # one cylinder is canonical
+            region = CylinderUnion._canonical(region.presentation, (region.base.codes,))
         if region.presentation != self.presentation:
             raise ValueError("unions from different presentations")
-        if region.cylinders and region.cylinders[-1].depth > self.depth:
+        if region.depth > self.depth:
             raise ValueError("union is finer than the given truncation depth")
         import numpy as np
         # the rows below a base lie between the base padded with the lowest byte
         # and the base padded with the highest, and canonical bases are disjoint
         width = self.rows.dtype.itemsize
-        bases = [np.asarray(c.base.codes, dtype=">u%d" % (width // self.depth)).tobytes() for c in region.cylinders]
+        bases = [np.asarray(b, dtype=">u%d" % (width // self.depth)).tobytes() for b in region._lex]
         low, high = (np.array([b.ljust(width, pad) for b in bases], self.rows.dtype) for pad in (b"\0", b"\xff"))
         before = np.concatenate(([0], np.cumsum(self.row_counts)))  # the draws in the rows before row i
         hits = before[np.searchsorted(self.rows, high, "right")] - before[np.searchsorted(self.rows, low)]
@@ -180,7 +180,7 @@ def empirical_rn(g: Word, batch: SampleBatch, cell_depth: int = 1) -> list[Empir
         raise ValueError("batch depth must exceed element length plus cell depth")
     out = []
     for cell in map(Cylinder, sphere(p, cell_depth)):
-        cell_union = CylinderUnion(p, (cell,))
+        cell_union = CylinderUnion._canonical(p, (cell.base.codes,))  # one cylinder is canonical
         moved = act_cylinder(g, cell)
         p1, p2, p12 = moved.measure, cell.measure, (moved & cell_union).measure
         m1, m2 = batch.frequency(moved), batch.frequency(cell_union)

@@ -157,6 +157,35 @@ def test_complement():
     assert u.measure + comp.measure == 1
 
 
+def test_results_kept_unnormalised_are_canonical(presentation):
+    # &, - and complement keep the bases as they find them, and act_cylinder
+    # writes its image directly: each must equal its union normalised afresh
+    p, rng = presentation, random.Random(31)
+    drawn = [random_union(rng, p, max_depth=3, max_parts=8) for _ in range(40)]
+    results = [CylinderUnion.empty(p), CylinderUnion.full(p), CylinderUnion.empty(p).complement()]
+    for a, b in zip(drawn[::2], drawn[1::2]):
+        results += [a & b, b & a, a - b, a.complement(), a.complement() & b]
+    words = [w for m in range(3) for w in sphere(p, m)]
+    results += [act_cylinder(g, Cylinder(base)) for g in words for base in words]
+    for union in results:
+        assert CylinderUnion(p, union.cylinders) == union
+
+
+def test_moving_testing_and_intersecting_build_no_word(monkeypatch, presentation):
+    # a union is its codes: act_cylinder, contains and & read codes only
+    p, rng = presentation, random.Random(37)
+    words = [w for m in range(3) for w in sphere(p, m)]
+    cases = [(g, Cylinder(base), random_union(rng, p, max_depth=3, max_parts=6)) for g in words for base in words]
+    built = []
+    post_init, reduced = Word.__post_init__, Word._reduced
+    monkeypatch.setattr(Word, "__post_init__", lambda word: built.append(word.codes) or post_init(word))
+    monkeypatch.setattr(Word, "_reduced", classmethod(lambda cls, q, codes: built.append(codes) or reduced(q, codes)))
+    for g, c, u in cases:
+        image = act_cylinder(g, c)
+        assert u.contains(image) == (u & image == image) == (image & u == image) == (image - u).is_empty
+    assert built == []
+
+
 def test_boundary_point_normalizes_primitive_cycle():
     b = Presentation(0, 2)
     pt = BoundaryPoint(Word.parse("e", b), Word.parse("b1 b1", b))

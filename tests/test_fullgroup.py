@@ -17,6 +17,7 @@ from treeboundary import (
     verify_swap,
 )
 
+import treeboundary.cylinders as cylinders
 import treeboundary.fullgroup as fullgroup
 import treeboundary.words as words_module
 from treeboundary.words import sphere_size
@@ -525,3 +526,16 @@ def test_swap_report_json():
         "residual_measures",
         "pieces_act_by_group_elements",
     }
+
+
+def test_verify_swap_normalises_only_its_two_covers(monkeypatch):
+    # each piece's image is act_cylinder's one canonical cylinder, read as it
+    # stands; only the covers of C(x) and C(y) that the tiling check builds are normalised
+    p = Presentation(4, 0)
+    twos = sphere(p, 2)
+    k = build_swap(twos[0], twos[-1], 5)
+    calls, normalise = [], cylinders._normalise
+    monkeypatch.setattr(cylinders, "_normalise", lambda q, bases: calls.append(q) or normalise(q, bases))
+    report = verify_swap(k)
+    assert report.ok and not k.closed and k.step_count == 5
+    assert len(calls) == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import treeboundary.cylinders as cylinders
 import treeboundary.fullgroup as fullgroup
 import treeboundary.ratios as ratios
 import treeboundary.words as words
@@ -75,3 +76,15 @@ def test_witness_builds_no_swap(presentation, monkeypatch):
         # (4,0) lists up to 1.6 million rn_checks cells; the smaller listings are compared in full
         if witness.rn_check_count <= 20000:
             assert witness.to_json() == expected.to_json()
+
+
+def test_witness_normalises_no_union(presentation, monkeypatch):
+    # each stage lands on one cylinder, and F is its preimage under the net mover:
+    # both are canonical as they stand, so no stage and no preimage normalises
+    ks = [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6]
+    cases = [(Fraction(presentation.branching) ** k, ambient) for k in ks for ambient in ambients(presentation)]
+    calls, normalise = [], cylinders._normalise
+    monkeypatch.setattr(cylinders, "_normalise", lambda q, bases: calls.append(q) or normalise(q, bases))
+    for lam, ambient in cases:
+        find_witness(lam, ambient, presentation)
+    assert calls == []
