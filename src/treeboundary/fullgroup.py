@@ -214,15 +214,6 @@ def build_swap(x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP) -> PiecewiseT
     return PiecewiseTranslation(x, y, max_step)
 
 
-def _first_piece(x: Word, y: Word) -> tuple[Word, Cylinder]:
-    """Element ``y x^-1`` and image ``C(y z)`` of ``build_swap(x, y)``'s first piece, without the swap: as in
-    step 1, z is x's first follower but the inverse of y's last letter (x == y: e, C(x)'s first child)."""
-    p = x.presentation
-    corridor_letter = p.inverse_code(y.last_code)
-    z = next(z for z in p.followers(x.codes) if z != corridor_letter)
-    return y * ~x, Cylinder(Word._reduced(p, y.codes + (z,)))
-
-
 @dataclass(frozen=True)
 class Check:
     name: str

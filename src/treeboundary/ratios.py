@@ -4,31 +4,24 @@ Every translation scales the measure on sufficiently deep cells by an
 integer power of the branching number n, so the candidate ratio values
 are exactly the powers n**k.  ``find_witness`` certifies that a target
 power is an essential value inside any positive-measure cylinder union
-E: it produces a positive-measure F inside E, a map t assembled from
-two cylinder swaps and one generator, with F and t(F) both inside E and
-the scaling of t identically equal to the target on F.  Because the
+E: it produces a positive-measure F inside E and a group element t with
+t(F) inside E and the scaling of t identically n**k on F.  Because the
 arithmetic is exact, the certificate works for every tolerance at once.
 
-The witness construction for a single factor of n:
-
-* take the first generator g and the first cylinder C of E (C(g) when
-  E is the whole boundary);
-* move C into g's shadow by the first translation piece of its swap onto
-  the first same-depth cylinder starting with g (C itself if C does);
-* cancel g from the front, which multiplies measure by exactly n there;
-* if the result has left E, move it back by the first piece of its swap
-  onto C.
-
-Only the first piece of each swap is used, and the corridor rule gives
-its element and image in closed form, so no swap is built.  On the
-restricted set the composite acts by one group element, the stage's
-mover, and lands on one cylinder.  Larger powers chain unit stages,
-each inside the cylinder the previous one lands on; negative powers
-invert the chain.  After the stages the movers' codes are reduced once
-into the net mover t, and F is computed once, as t^-1(t(F)) for the
-cylinder t(F) the last stage lands on.  Containment is then checked on
-cylinders and the scaling by one Busemann cocycle per cylinder of F, in
-exact arithmetic.
+A witness chains |k| stages of one factor of n.  With g the first
+generator, a stage from C(c) swaps it into g's shadow, onto C(w) for the
+first word w from g of c's length, cancels g to land on C(s), s = w[1:] z,
+and swaps back onto C(c) unless its set covers C(s).  Only the first piece
+of each swap is used, in closed form, so the stage lands on one cylinder,
+s or c z' one letter deeper.  Stage 1 starts from E's first shortest base
+c_1 and every later stage from the cylinder the one before landed on,
+which covers C(s) only when s = c, and then every later stage repeats it.
+So c_2 ... c_{k+1} are prefixes of one word, found in O(k) letters, and the
+stage movers c_{i+1} d_i c_i^-1 (d_i = z^-1 or z'^-1 z^-1) telescope to
+t = c_{k+1} d_k ... d_1 c_1^-1, reduced once; F = t^-1(C(c_{k+1})), and
+negative powers invert t.  No swap is built; the stages are written from
+the chain only for output.  The scaling is checked by one Busemann cocycle
+per cylinder of F.
 """
 
 from __future__ import annotations
@@ -36,10 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import pairwise
 
 from .action import _cancellation, act_cylinder, act_point, fixed_points
 from .cylinders import Cylinder, CylinderUnion
-from .fullgroup import _first_piece, transitivity_check
+from .fullgroup import transitivity_check
 from .words import Presentation, Word, _reduce_codes, clip, sphere_size
 
 
@@ -71,16 +66,12 @@ def realized_rn_values(p: Presentation, max_len: int, depth: int) -> set[Fractio
 
 @dataclass(frozen=True)
 class WitnessStage:
-    """One unit factor of the witness map: swap in, cancel a generator, swap back.
-
-    The two swaps are kept as their ``(x, y)`` words; ``mover`` is the single
-    group element by which the whole stage acts on the stage's restricted set.
-    """
+    """One unit factor of the witness map: swap in, cancel a generator, swap back.  The swaps are
+    kept as their ``(x, y)`` words; the second is the identity, ``(x, x)``, when the stage lands on x."""
 
     into_shadow: tuple[Word, Word]
     generator: Word
     back_into: tuple[Word, Word]
-    mover: Word
 
     def to_json(self) -> dict:
         (x1, y1), (x2, y2) = self.into_shadow, self.back_into
@@ -91,7 +82,26 @@ class WitnessStage:
         }
 
     def inverted(self) -> "WitnessStage":
-        return WitnessStage(self.back_into, ~self.generator, self.into_shadow, ~self.mover)
+        return WitnessStage(self.back_into, ~self.generator, self.into_shadow)
+
+
+def _next_letter(p: Presentation, u: int, v: int) -> int:
+    """The first letter that may follow the letter u, other than the inverse of v."""
+    return next(z for z in p.followers((u,)) if z != p.inverse_code(v))
+
+
+def _landing(p: Presentation, c: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """w and s of the stage from C(c): w is c when it starts with g, the first generator,
+    else the first |c| letters of g f g f ..., f g's first follower; s is w[1:] z, z the
+    first letter that may follow c other than the inverse of w's last."""
+    w = c if c[0] == 0 else ((0, p.followers((0,))[0]) * len(c))[:len(c)]
+    return w, w[1:] + (_next_letter(p, c[-1], w[-1]),)
+
+
+def _stage(p: Presentation, c: tuple[int, ...], landed: tuple[int, ...]) -> WitnessStage:
+    """The stage from C(c) that lands on C(landed): it swaps back onto c unless it landed on s."""
+    (w, s), word = _landing(p, c), lambda codes: Word._reduced(p, codes)
+    return WitnessStage((word(c), word(w)), word((0,)), (word(s), word(s if len(landed) == len(c) else c)))
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,28 @@ class Witness:
 
     ``net_element`` scales every cylinder of F by exactly ``lam``, checked by
     one cocycle per cylinder, so the deviation from the target is zero and the
-    certificate holds for every positive tolerance simultaneously.
+    certificate holds for every positive tolerance simultaneously.  The forward
+    chain is kept as c_1, ``first``, and c_{|k|+1}, ``last``: c_2 is the first
+    ``second`` letters of ``last``, and each later c_i one more, up to all of it.
     """
 
     lam: Fraction
     ambient: CylinderUnion
     found: CylinderUnion
     image: CylinderUnion
-    stages: tuple[WitnessStage, ...]
     net_element: Word
+    first: Word
+    last: Word
+    second: int
+
+    @cached_property
+    def stages(self) -> tuple[WitnessStage, ...]:
+        """The |k| stages, written from the chain on first read; for k < 0, the inverse chain."""
+        p = self.found.presentation
+        k = power_exponent(self.lam, p.branching)
+        chain = [self.first.codes, *(self.last.codes[:self.second + i] for i in range(abs(k)))]
+        stages = [_stage(p, c, landed) for c, landed in pairwise(chain)]
+        return tuple(stages) if k > 0 else tuple(st.inverted() for st in reversed(stages))
 
     def _check_depth(self, cyl: Cylinder) -> int:
         """Depth at which ``rn_checks`` lists the cells of a cylinder of F."""
@@ -153,69 +176,53 @@ def _check_scaling(f: CylinderUnion, mover: Word, k: int) -> None:
             raise AssertionError("witness scaling is not constant at the target value")
 
 
-def _preimage(element: Word, cyl: Cylinder) -> CylinderUnion:
-    """The preimage of a cylinder under ``element``: its image under the inverse, canonical as it stands."""
-    return act_cylinder(~element, cyl)
-
-
-def _unit_stage(ambient: CylinderUnion, p: Presentation) -> tuple[WitnessStage, Cylinder]:
-    """A witness stage for one factor of n inside ``ambient``, and the one
-    cylinder its mover lands on."""
-    gen_code = 0
-    g = Word(p, (gen_code,))
-    # E's first cylinder in shortlex order, or C(g), the first depth-one cylinder, when E is the whole boundary
-    c = Word._reduced(p, min(ambient._lex, key=len)) or g
-
-    # into g's shadow by the first piece of the swap of c onto w (the identity when c starts with g);
-    # the first word from g alternates g and its first follower, whose first follower is g again
-    path = (gen_code, p.followers((gen_code,))[0]) * len(c)
-    w = c if c.codes[0] == gen_code else Word._reduced(p, path[:len(c)])
-    u, q1 = _first_piece(c, w)
-
-    # back onto c by the first piece of that swap, unless g^-1 already moved it into E
-    shifted = ~g * q1.base
-    if ambient.contains(Cylinder(shifted)):
-        back, v, landed = shifted, p.identity(), Cylinder(shifted)
-    else:
-        back, (v, landed) = c, _first_piece(shifted, c)
-    return WitnessStage((c, w), g, (shifted, back), v * ~g * u), landed
-
-
 def find_witness(lam: Fraction, ambient: CylinderUnion, p: Presentation) -> Witness:
-    """A constructive certificate that ``lam`` is realized inside ``ambient``.
-
-    ``lam`` must be a nonzero, non-unit power of the branching number.
-    The search is fully deterministic: cylinders of E are visited in
-    canonical order and generators in letter order, so the same inputs
-    always produce the same witness.
-    """
+    """A constructive certificate that ``lam``, a nonzero, non-unit power of the branching
+    number, is realized inside ``ambient``.  It is fully deterministic: E's bases are read in
+    canonical order and generators in letter order, so the same inputs give the same witness."""
     if ambient.presentation != p:
         raise ValueError("ambient set from a different presentation")
     if ambient.is_empty:
         raise ValueError("ambient set must have positive measure")
-    lam = Fraction(lam)
-    n = p.branching
+    lam, n = Fraction(lam), p.branching
     k = power_exponent(lam, n)
     if k is None or k == 0:
         raise ValueError(f"target value {clip(lam)} is not a nontrivial power of the branching number {n}")
 
-    stages, image = [], ambient
-    for _ in range(abs(k)):
-        stage, landed = _unit_stage(image, p)
-        stages.append(stage)
-        image = CylinderUnion._canonical(p, (landed.base.codes,))  # one cylinder is canonical
-    # t: the stage movers' codes reduced once; F = t^-1(t(F)), with t(F) the cylinder the last stage lands on
-    mover = Word._reduced(p, _reduce_codes([c for st in reversed(stages) for c in st.mover.codes], p))
-    found = _preimage(mover, landed)
+    inverse, g, f = p.inverse_code, 0, p.followers((0,))[0]
+    first = min(ambient._lex, key=len) or (g,)  # c_1, or g when E is the whole boundary
+    s = _landing(p, first)[1]
+    covers = ambient.contains(Cylinder(Word._reduced(p, s)))
+    chain = list(s) if covers else [*first, _next_letter(p, s[-1], first[-1])]
+    moves = [inverse(s[-1])] + ([] if covers else [inverse(chain[-1])])  # d_1, as every d_i, last letter first
+    # a later stage lands on C(s) only when s = w[1:] z is c: when z is c's last letter and c follows
+    # R = g g g ... in all its letters (c starts with g, so w = c) or R = f g f g ... in all but its last
+    # (w = g f g f ...); ``lead`` counts the first letters of c that follow R
+    second, from_g = len(chain), chain[0] == g
+    ref = (g, g) if from_g else (f, g)
+    lead = next((j for j, a in enumerate(chain) if a != ref[j % 2]), len(chain))
+    for i in range(1, abs(k)):
+        m, e = len(chain), chain[-1]
+        z = _next_letter(p, e, e if from_g else ref[m % 2])  # w's last letter
+        if z == e and lead >= m - (not from_g):  # the chain stops, and every later stage repeats this one
+            moves += [inverse(z)] * (abs(k) - i)
+            break
+        chain.append(_next_letter(p, z, e))
+        moves += [inverse(z), inverse(chain[-1])]
+        lead += lead == m and chain[-1] == ref[m % 2]
+
+    # t = c_{k+1} d_k ... d_1 c_1^-1, reduced once; F = t^-1(t(F)), t(F) the cylinder the last stage lands on
+    last = Word._reduced(p, tuple(chain))
+    mover = Word._reduced(p, _reduce_codes([*chain, *reversed(moves), *(inverse(c) for c in reversed(first))], p))
+    image, found = CylinderUnion._canonical(p, (last.codes,)), act_cylinder(~mover, Cylinder(last))
 
     if not ambient.contains(found) or not ambient.contains(image):
         raise AssertionError("witness containment failed")
     if k < 0:
         # the inverse chain maps the image back onto F
-        stages = [st.inverted() for st in reversed(stages)]
         found, image, mover = image, found, ~mover
     _check_scaling(found, mover, k)
-    return Witness(lam, ambient, found, image, tuple(stages), mover)
+    return Witness(lam, ambient, found, image, mover, Word._reduced(p, first), last, second)
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,23 @@ def test_ratio_witness_honours_max_cells(capsys, monkeypatch):
     assert len(json.loads(out)["rn_checks"]) == 2187
 
 
+def test_ratio_witness_refuses_a_long_chain_after_linear_work(capsys):
+    # at 2**1500 on C(a2) the chain of landed cylinders is 1,501 letters and rn_checks
+    # would list 2**1501 cells; the witness is found from the chain in closed form,
+    # with no stage written, and then refused
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "ratio", "witness", "--s", "3", "--t", "0", "--lambda", str(2 ** 1500),
+                             "--E", '["a2"]')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", "resource bound exceeded: rn_checks would list more than 10000000 cells\n")
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("argv", [
     ["group", "sphere", "--m", "20000"],
     ["group", "sphere", "--m", "20000", "--count"],

@@ -12,6 +12,7 @@ from treeboundary import (
     Word,
     act_point,
     build_swap,
+    find_witness,
     sphere,
     transitivity_check,
     verify_swap,
@@ -22,9 +23,10 @@ import treeboundary.fullgroup as fullgroup
 import treeboundary.words as words_module
 from treeboundary.words import sphere_size
 from treeboundary.cylinders import periodic_extension
-from treeboundary.fullgroup import DEFAULT_MAX_STEP, _first_piece
+from treeboundary.fullgroup import DEFAULT_MAX_STEP, Piece
 
 from conftest import PRESENTATIONS, pairwise_transitivity, random_boundary_point, random_reduced_word
+from test_ratios import ambients
 
 P30 = Presentation(3, 0)
 P11 = Presentation(1, 1)
@@ -290,17 +292,35 @@ def test_swaps_build_no_boundary_point_until_the_ends_are_read(monkeypatch, pres
     assert len(made) == 2
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_first_piece_is_the_swaps_first_piece(presentation, m):
-    words = sphere(presentation, m)
-    for x in words:
-        for y in words:
-            if x == y:
-                expected = (presentation.identity(), Cylinder(x).children()[0])
-            else:
-                pc = build_swap(x, y, 1).pieces_at_step(1)[0]
-                expected = (pc.element, pc.image)
-            assert _first_piece(x, y) == expected, (str(x), str(y))
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_first_piece_is_the_swaps_first_piece(presentation, j):
+    # each witness stage at k = 2j - 1 and 2j moves by the first piece of each of its
+    # two swaps, as the swap builds it: into g's shadow (to C(x)'s first child, unmoved,
+    # when x == y), g^-1, and back (not at all when the second swap is the identity)
+    p = presentation
+
+    def first_piece(x, y, back):
+        if x != y:
+            return build_swap(x, y, 1).pieces_at_step(1)[0]
+        return Piece(Cylinder(x), p.identity(), Cylinder(x) if back else Cylinder(x).children()[0])
+
+    for ambient in ambients(p):
+        for k in (2 * j - 1, 2 * j):
+            lam = Fraction(p.branching) ** k
+            witness = find_witness(lam, ambient, p)
+            start, net = witness.stages[0].into_shadow[0], p.identity()
+            for stage in witness.stages:
+                (x1, y1), g, (x2, y2) = stage.into_shadow, stage.generator, stage.back_into
+                assert x1 == start  # where the last stage landed
+                into, back = first_piece(x1, y1, False), first_piece(x2, y2, True)
+                assert ~g * into.image.base == x2
+                net = back.element * ~g * into.element * net
+                start = back.image.base
+            assert witness.image.cylinders == (Cylinder(start),)
+            assert net == witness.net_element
+            inverse = find_witness(1 / lam, ambient, p)
+            assert inverse.stages == tuple(stage.inverted() for stage in reversed(witness.stages))
+            assert inverse.net_element == ~net
 
 
 def test_pushforward_preserves_cylinder_measures():

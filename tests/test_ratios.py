@@ -257,15 +257,20 @@ def test_deep_witness_does_no_per_cell_work(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6])
 def test_witness_pulls_f_back_once(presentation, monkeypatch, k):
-    # F comes from one preimage of the last stage's set, however many stages
-    pulled = []
-    preimage = ratios._preimage
-    monkeypatch.setattr(ratios, "_preimage", lambda g, union: pulled.append(g) or preimage(g, union))
+    # F is the one pull-back, by the inverse of the net mover, of the cylinder the last
+    # stage lands on; for k < 0 that pull-back is t(F)
+    pulled, act_cylinder = [], ratios.act_cylinder
+
+    def pulling(g, cyl):
+        pulled.append((g, act_cylinder(g, cyl)))
+        return pulled[-1][1]
+
+    monkeypatch.setattr(ratios, "act_cylinder", pulling)
     for ambient in ambients(presentation):
         pulled.clear()
         witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
-        assert len(pulled) == 1
-        assert len(witness.stages) == abs(k)
+        forward = ~witness.net_element if k > 0 else witness.net_element
+        assert pulled == [(forward, witness.found if k > 0 else witness.image)]
 
 
 def test_classify_labels():

@@ -61,9 +61,16 @@ GOLDEN = Path(__file__).with_name("sweep_golden.json")
 PRESENTATIONS = [(3, 0), (1, 1), (0, 2), (4, 0)]
 
 
+def _spell(p: Presentation, codes) -> str:
+    return " ".join(p.tokens[c] for c in codes) or "e"
+
+
+def _lam(p: Presentation, k: int) -> str:
+    return str(p.branching ** k) if k > 0 else f"1/{p.branching ** -k}"
+
+
 def _words(p: Presentation, max_len: int) -> list[str]:
-    return [" ".join(p.tokens[c] for c in codes) or "e"
-            for m in range(max_len + 1) for codes in brute_force_sphere(p, m)]
+    return [_spell(p, codes) for m in range(max_len + 1) for codes in brute_force_sphere(p, m)]
 
 
 def _act() -> list[list[str]]:
@@ -88,7 +95,7 @@ def _measure() -> list[list[str]]:
                 family = [codes[:-1] + (z,) for z in range(p.degree)
                           if codes[:-1] + (z,) in by_depth[len(codes)]] if codes and rng.random() < 0.2 else [codes]
                 bases += family
-            text = json.dumps([" ".join(p.tokens[c] for c in codes) or "e" for codes in bases])
+            text = json.dumps([_spell(p, codes) for codes in bases])
             cases += [["measure", "--s", str(s), "--t", str(t), "--union", text, "--format", fmt]
                       for fmt in ("text", "json")]
     return cases
@@ -100,18 +107,9 @@ def _witness() -> list[list[str]]:
         p = Presentation(s, t)
         for base in _words(p, 2):
             for k in (1, 2, 3, 4, -1, -2, -3, -4):
-                lam = str(p.branching ** k) if k > 0 else f"1/{p.branching ** -k}"
-                cases.append(["ratio", "witness", "--s", str(s), "--t", str(t), "--lambda", lam,
+                cases.append(["ratio", "witness", "--s", str(s), "--t", str(t), "--lambda", _lam(p, k),
                               "--E", json.dumps([base]), "--format", "json"])
     return cases
-
-
-def _lam(p: Presentation, k: int) -> str:
-    return str(p.branching ** k) if k > 0 else f"1/{p.branching ** -k}"
-
-
-def _spell(p: Presentation, codes) -> str:
-    return " ".join(p.tokens[c] for c in codes) or "e"
 
 
 def _witness_unions() -> list[list[str]]:
@@ -153,7 +151,8 @@ def _kmap() -> list[list[str]]:
                     a, b = x[-1], y[-1]
                     sides = ((x, (p.inverse_code(b), a)), (y, (p.inverse_code(a), b)))
                     # a swap that closes (a == b) has no corridor
-                    points = [f"{_spell(p, head)} | {_spell(p, corridor)}" for head, corridor in sides] if a != b else []
+                    points = [f"{_spell(p, head)} | {_spell(p, corridor)}"
+                              for head, corridor in sides] if a != b else []
                     points += [str(periodic_extension(Word(p, head + (corridor * 2)[:j])))
                                for head, corridor in sides for j in ((0, 1, 3) if a != b else (0,))]
                     cases += [["kmap", "apply", *pa, *xy, "--point", point] for point in points]

@@ -14,9 +14,10 @@ from conftest import refined_rn_cells
 from test_ratios import ambients
 
 
-@pytest.mark.parametrize("st", [(1, 1), (0, 2)])
+@pytest.mark.parametrize("st", [(1, 1), (0, 2), (3, 0), (4, 0)])
 def test_witness_word_work_is_linear_in_k(monkeypatch, st):
-    # every letter the word products reduce, in the words and in the witness layer
+    # every letter the word products reduce, in the words and in the witness layer,
+    # on the whole boundary and on one depth-2 cylinder
     p, letters = Presentation(*st), []
     reduce_codes = words._reduce_codes
 
@@ -30,7 +31,8 @@ def test_witness_word_work_is_linear_in_k(monkeypatch, st):
     counts = []
     for k in (250, 500, 1000):
         letters.clear()
-        find_witness(Fraction(p.branching) ** k, CylinderUnion.full(p), p)
+        for ambient in ambients(p):
+            find_witness(Fraction(p.branching) ** k, ambient, p)
         counts.append(sum(letters))
     assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], counts
 
@@ -45,6 +47,22 @@ def test_witness_moves_one_cylinder_once(presentation, monkeypatch, k):
         moved.clear()
         witness = find_witness(Fraction(presentation.branching) ** k, ambient, presentation)
         assert moved == [(witness.image if k > 0 else witness.found).cylinders[0]]
+        assert len(witness.stages) == abs(k)
+
+
+def test_a_long_witness_writes_no_stage(monkeypatch):
+    # the chain of landed cylinders gives F, t(F) and t in closed form; stages are written
+    # only when read
+    p = Presentation(3, 0)
+
+    def refuse(*args):
+        raise AssertionError("find_witness wrote a stage")
+
+    monkeypatch.setattr(ratios.WitnessStage, "__init__", refuse)
+    witness = find_witness(Fraction(2) ** 1000, CylinderUnion.parse(p, ["a2"]), p)
+    assert len(witness.image.cylinders[0].base) == 1001
+    monkeypatch.undo()
+    assert len(witness.stages) == 1000
 
 
 @pytest.mark.parametrize("k", [1, 3, -1, -3])
