@@ -222,6 +222,8 @@ def _run(args: argparse.Namespace) -> None:
         witness = find_witness(_fraction(args.lam), ambient, p)
         if witness.rn_check_count > args.max_cells:
             raise ResourceLimitError(f"rn_checks would list more than {clip(args.max_cells)} cells")
+        if witness.stage_letter_count > args.max_cells:
+            raise ResourceLimitError(f"stages would list more than {clip(args.max_cells)} letters")
         payload = witness.to_json()
     elif args.command == "classify":
         payload = classify(p).to_json()

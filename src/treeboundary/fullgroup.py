@@ -22,10 +22,10 @@ translation.  Each piece moves its domain by one fixed group element
 and preserves its measure exactly, so the map lies in the
 measure-preserving part of the full group of the translation action.
 
-The piece table is built on first read, up to a step bound, and never
-changes.  Evaluation at a point does not read it: the number of corridor
-letters the point follows after x or y names its step directly, at any
-depth.
+The swap holds a code table, built on first read up to a step bound: each
+step's element and its pieces' domain and image codes, which verification and
+the transitivity certificate read; pieces are built only for output.  Evaluation
+at a point reads no table: the corridor letters it follows name its step.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .action import act_cylinder, act_point
-from .cylinders import BoundaryPoint, Cylinder, CylinderUnion, _disjoint
+from .cylinders import BoundaryPoint, Cylinder, _disjoint, _normalise
 from .words import DEFAULT_CELL_LIMIT, Presentation, Word, sphere
 
 DEFAULT_MAX_STEP = 32
+_Tile = tuple[tuple[int, ...], tuple[int, ...]]  # one piece's domain and image codes in the code table
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,12 @@ class Piece:
 class PiecewiseTranslation:
     """Involution of the boundary swapping the cylinders over x and y.
 
-    Use :func:`build_swap` to construct one.  The piece table, built on
-    first read, holds ``max_step`` steps of the corridor exchange (one when
-    the swap closes, none for the identity); ``apply`` evaluates the map at
-    any eventually periodic point, however deep it follows a corridor, and
-    never reads the table.  The corridor ends, ``exceptional``, are also
-    normalized on first read: building and verifying make no ``BoundaryPoint``.
+    Use :func:`build_swap` to construct one.  The code table holds ``max_step``
+    steps of the corridor exchange (one when the swap closes, none for the
+    identity); ``apply`` evaluates the map at any eventually periodic point,
+    however deep it follows a corridor, and never reads the table.  The
+    corridor ends, ``exceptional``, are also normalized on first read:
+    building and verifying make no ``BoundaryPoint``.
     """
 
     def __init__(self, x: Word, y: Word, max_step: int = DEFAULT_MAX_STEP):
@@ -77,6 +78,7 @@ class PiecewiseTranslation:
         # the two letters each corridor repeats, after x and after y: reduced cycles when a != b
         self._corridors = ((p.inverse_code(b), a), (p.inverse_code(a), b))
         self.closed = a == b
+        self.is_identity = x == y
         self._max_step = max_step
 
     # -- construction -----------------------------------------------------
@@ -89,8 +91,13 @@ class PiecewiseTranslation:
         return dict(zip(ends, reversed(ends)))
 
     @cached_property
-    def _steps(self) -> tuple[tuple[Piece, ...], ...]:
+    def _table(self) -> tuple[tuple[Word, tuple[_Tile, ...]], ...]:
+        """Each step's element and its pieces' codes, built on first read by ``_pieces``."""
         return tuple(self._pieces(j) for j in range(1, self.step_count + 1))
+
+    @property
+    def _tiles(self) -> list[_Tile]:
+        return [tile for _, tiles in self._table for tile in tiles]
 
     def _head(self, side: int, n: int) -> Word:
         """x (side 0) or y (side 1) then the first n letters of its corridor, a path that never backtracks."""
@@ -98,20 +105,19 @@ class PiecewiseTranslation:
         letters = (first, second) * (n // 2) + (first,) * (n % 2)
         return Word._reduced(self.presentation, (self.x, self.y)[side].codes + letters)
 
-    def _pieces(self, j: int) -> tuple[Piece, ...]:
-        dom, img = self._head(0, j - 1), self._head(1, j - 1)
+    def _pieces(self, j: int) -> tuple[Word, tuple[_Tile, ...]]:
+        dom, img = self._head(0, j - 1).codes, self._head(1, j - 1).codes
         corridor_letter = self._corridors[0][(j - 1) % 2]
-        element, p = self.step_element(j), self.presentation
         # z follows the x-head and is not the corridor letter, so it also follows the y-head
-        return tuple(
-            Piece(Cylinder(Word._reduced(p, dom.codes + (z,))), element, Cylinder(Word._reduced(p, img.codes + (z,))))
-            for z in p.followers(dom.codes) if z != corridor_letter
-        )
+        tiles = tuple((dom + (z,), img + (z,)) for z in self.presentation.followers(dom) if z != corridor_letter)
+        return self.step_element(j), tiles
+
+    def _cylinder(self, codes: tuple[int, ...]) -> Cylinder:
+        return Cylinder(Word._reduced(self.presentation, codes))
 
     @property
     def step_count(self) -> int:
-        """Steps in the piece table, without building it: none for the identity,
-        one when the swap closes, ``max_step`` otherwise."""
+        """Steps in the code table, unbuilt: none for the identity, one when closed, else ``max_step``."""
         return 0 if self.is_identity else 1 if self.closed else self._max_step
 
     @property
@@ -127,10 +133,6 @@ class PiecewiseTranslation:
             return 2 * n * (2 * (self.m + 1) + len(self.step_element(1)))
         return 4 * (n - 1) * self.step_count * (2 * self.m + self.step_count)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x == self.y
-
     def _residual_at(self, j: int) -> tuple[Cylinder, Cylinder]:
         return Cylinder(self._head(0, j)), Cylinder(self._head(1, j))
 
@@ -143,7 +145,7 @@ class PiecewiseTranslation:
         return [] if self.closed else [self._residual_at(j) for j in range(1, self.step_count + 1)]
 
     def forward_pieces(self) -> list[Piece]:
-        return [piece for step in self._steps for piece in step]
+        return [piece for j in range(1, self.step_count + 1) for piece in self.pieces_at_step(j)]
 
     def backward_pieces(self) -> list[Piece]:
         """The forward pieces mirrored: each image moved back by the inverse element."""
@@ -152,7 +154,8 @@ class PiecewiseTranslation:
     def pieces_at_step(self, j: int) -> tuple[Piece, ...]:
         if not 1 <= j <= self.step_count:
             raise ValueError(f"step {j} is outside 1..{self.step_count}")
-        return self._steps[j - 1]
+        element, tiles = self._table[j - 1]
+        return tuple(Piece(self._cylinder(dom), element, self._cylinder(img)) for dom, img in tiles)
 
     def step_element(self, j: int) -> Word:
         """The translation used at step j, at any j >= 1: ``(y d[:j-1]) (x c[:j-1])^-1``
@@ -198,10 +201,8 @@ class PiecewiseTranslation:
             "y": str(self.y),
             "step_count": self.step_count,
             "closed": self.closed,
-            "pieces": [
-                {"domain": str(p.domain.base), "element": str(p.element), "image": str(p.image.base)}
-                for p in self.forward_pieces() + self.backward_pieces()
-            ],
+            "pieces": [{"domain": str(p.domain.base), "element": str(p.element), "image": str(p.image.base)}
+                       for p in self.forward_pieces() + self.backward_pieces()],
             "exceptional": [[str(a), str(b)] for a, b in sorted(
                 self.exceptional.items(), key=lambda kv: str(kv[0]))],
             "residual": None if residual is None else str(residual[0].base),
@@ -245,12 +246,11 @@ class SwapReport:
 
 
 def _tiles_support(k: PiecewiseTranslation) -> bool:
-    """Whether the forward pieces plus the residual corridor tile C(x), and
-    their images plus the residual image tile C(y)."""
-    residual = k.residual
-    tiles = [(pc.domain, pc.image) for pc in k.forward_pieces()] + ([residual] if residual else [])
+    """Whether the forward domains plus the residual corridor tile C(x), and
+    the images plus the residual image tile C(y), read from the code table."""
+    tiles = k._tiles + ([] if k.closed else [(k._head(0, k.step_count).codes, k._head(1, k.step_count).codes)])
     # one cylinder is a canonical union: every sibling family has two members or more
-    return all(CylinderUnion(k.presentation, [tile[side] for tile in tiles])._lex == (head.codes,)
+    return all(_normalise(k.presentation, (tile[side] for tile in tiles)) == (head.codes,)
                for side, head in enumerate((k.x, k.y)))
 
 
@@ -264,27 +264,29 @@ def verify_swap(k: PiecewiseTranslation) -> SwapReport:
     every piece genuinely acts by its single group element, both ways (so the swap agrees
     with a translation wherever it is defined).
     """
-    fwd = k.forward_pieces()
+    tiles = k._tiles
     # the backward pieces are the forward ones read the other way (image, inverse
     # element, domain), so both disjointness checks test the same two lists
-    disjoint = _disjoint(pc.domain.base.codes for pc in fwd) and _disjoint(pc.image.base.codes for pc in fwd)
+    disjoint = _disjoint(dom for dom, _ in tiles) and _disjoint(img for _, img in tiles)
     checks = [
         Check("domains_disjoint", disjoint),
         Check("images_disjoint", disjoint),
-        Check("pieces_preserve_measure", all(pc.domain.depth == pc.image.depth for pc in fwd)),
+        Check("pieces_preserve_measure", all(len(dom) == len(img) for dom, img in tiles)),
     ]
 
     if k.is_identity:
-        checks.append(Check("covers_support", not fwd, "identity swap has no pieces"))
+        checks.append(Check("covers_support", not tiles, "identity swap has no pieces"))
     else:
         checks.append(Check("covers_support", _tiles_support(k)))
-        residual_ok = all(cx.depth == cy.depth == k.m + j for j, (cx, cy) in enumerate(k.residual_history(), start=1))
+        residual_ok = k.closed or all(len(k._head(0, j)) == len(k._head(1, j)) == k.m + j
+                                      for j in range(1, k.step_count + 1))
         detail = "geometric decay with ratio 1/branching" if residual_ok else "unexpected residual mass"
         checks.append(Check("residual_measures", residual_ok, detail))
 
     # each image must be exactly the one cylinder, a canonical union as it stands
-    translation_ok = all(act_cylinder(pc.element, pc.domain)._lex == (pc.image.base.codes,)
-                         and act_cylinder(~pc.element, pc.image)._lex == (pc.domain.base.codes,) for pc in fwd)
+    translation_ok = all(act_cylinder(g, k._cylinder(dom))._lex == (img,)
+                         and act_cylinder(inverse, k._cylinder(img))._lex == (dom,)
+                         for g, step in k._table for inverse in (~g,) for dom, img in step)
     checks.append(Check("pieces_act_by_group_elements", translation_ok))
     return SwapReport(str(k.x), str(k.y), k.step_count, tuple(checks))
 
@@ -293,10 +295,9 @@ def transitivity_check(p: Presentation, m: int, limit: int | None = DEFAULT_CELL
     """Whether the swaps carry every depth-m cylinder onto every other.
 
     Certified by the swaps from the first depth-m cylinder onto each other
-    one: swaps are involutions, so their orbits chain.  Each must tile: the
-    forward pieces plus the residual corridor tile the source cylinder, and
-    their images plus the residual image the target.  ``limit`` bounds the
-    sphere words.  Depth zero is vacuously transitive.
+    one: swaps are involutions, so their orbits chain.  Each must preserve
+    measure and tile the two cylinders, read from its code table.  ``limit``
+    bounds the sphere words.  Depth zero is vacuously transitive.
     """
     if m < 0:
         raise ValueError("depth must be nonnegative")
@@ -306,7 +307,6 @@ def transitivity_check(p: Presentation, m: int, limit: int | None = DEFAULT_CELL
     for y in others:
         # two steps exclude each corridor letter once
         k = build_swap(first, y, 2)
-        measure_ok = all(pc.domain.depth == pc.image.depth for pc in k.forward_pieces())
-        if not (measure_ok and _tiles_support(k)):
+        if not (all(len(dom) == len(img) for dom, img in k._tiles) and _tiles_support(k)):
             return False
     return True

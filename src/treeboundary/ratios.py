@@ -143,6 +143,15 @@ class Witness:
         p = self.found.presentation
         return sum(sphere_size(p, self._check_depth(c)) // sphere_size(p, c.depth) for c in self.found)
 
+    @property
+    def stage_letter_count(self) -> int:
+        """Letters in the words of ``stages``, in closed form: ``4|c_i| + 1`` for the stage from C(c_i),
+        |c_1| = ``len(first)`` and |c_i| = min(``second`` + i - 2, ``len(last)``) for 2 <= i <= |k|."""
+        k = abs(power_exponent(self.lam, self.found.presentation.branching))
+        second, top = self.second, len(self.last)
+        growing = min(k - 1, top - second + 1)  # the stages i >= 2 with second + i - 2 <= len(last)
+        return 4 * (len(self.first) + growing * second + growing * (growing - 1) // 2 + (k - 1 - growing) * top) + k
+
     def to_json(self) -> dict:
         # the target value, listed on the cells of F deeper than the mover
         p, text = self.found.presentation, str(self.lam)

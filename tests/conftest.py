@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from treeboundary import BoundaryPoint, Cylinder, CylinderUnion, Presentation, Word, build_swap, rn_value
-from treeboundary.fullgroup import _tiles_support
 
 PRESENTATIONS = [Presentation(3, 0), Presentation(1, 1), Presentation(0, 2), Presentation(4, 0)]
 
@@ -82,18 +81,30 @@ def union_truncations(region: CylinderUnion, depth: int) -> set[tuple[int, ...]]
 
 
 def pairwise_transitivity(p: Presentation, m: int, max_step: int = 2) -> bool:
-    """Transitivity by a swap for every ordered pair of distinct depth-m words,
-    each checked by measure bookkeeping and tiling."""
+    """Transitivity by a swap for every ordered pair of distinct depth-m words, each
+    judged from its pieces alone: every piece keeps its measure, and on each side the
+    domains (images) and the residual corridor are pairwise disjoint cylinders inside
+    C(x) (C(y)) whose measures sum to its measure, so they tile it."""
+
+    def measure(codes):
+        return Fraction(1, p.degree * (p.degree - 1) ** (len(codes) - 1))
+
     words = [Word(p, codes) for codes in brute_force_sphere(p, m)]
     for x in words:
         for y in words:
             if x == y:
                 continue
             k = build_swap(x, y, max_step)
-            if not all(pc.domain.measure == pc.image.measure for pc in k.forward_pieces()):
+            pieces = k.forward_pieces()
+            if not all(pc.domain.measure == pc.image.measure for pc in pieces):
                 return False
-            if not _tiles_support(k):
-                return False
+            for side, head in enumerate((x.codes, y.codes)):
+                tiles = [(pc.image if side else pc.domain).base.codes for pc in pieces]
+                tiles += [k.residual[side].base.codes] if k.residual else []
+                if any(a[:len(b)] == b or b[:len(a)] == a for a, b in itertools.combinations(tiles, 2)):
+                    return False
+                if any(t[:len(head)] != head for t in tiles) or sum(map(measure, tiles)) != measure(head):
+                    return False
     return True
 
 

@@ -233,6 +233,17 @@ def test_ratio_witness_refuses_a_long_chain_after_linear_work(capsys):
     assert peak < 8 * 2**20
 
 
+def test_ratio_witness_counts_its_stage_letters_against_max_cells(capsys):
+    # at 5**200 on C(b2) F is one cell, but the 200 stages write 80,600 letters
+    argv = ("ratio", "witness", "--s", "0", "--t", "3", "--E", '["b2"]', "--lambda", str(5 ** 200),
+            "--format", "json")
+    refused = (3, "", "resource bound exceeded: stages would list more than 80599 letters\n")
+    assert run(capsys, *argv, "--max-cells", "80599") == refused
+    code, out, err = run(capsys, *argv)
+    assert (code, err, len(json.loads(out)["rn_checks"])) == (0, "", 1)
+    assert run(capsys, *argv, "--max-cells", "80600") == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["group", "sphere", "--m", "20000"],
     ["group", "sphere", "--m", "20000", "--count"],

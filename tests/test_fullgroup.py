@@ -374,11 +374,17 @@ def test_pushforward_exactness_invariant():
                     assert image.measure == c.measure
 
 
-def test_verify_reports_tampering_instead_of_raising():
+def tamper(monkeypatch, step, change):
+    """Make the code table's step ``step`` read ``change(element, tiles)`` in place of its codes."""
+    real = fullgroup.PiecewiseTranslation._pieces
+    monkeypatch.setattr(fullgroup.PiecewiseTranslation, "_pieces",
+                        lambda k, j: change(*real(k, j)) if j == step else real(k, j))
+
+
+def test_verify_reports_tampering_instead_of_raising(monkeypatch):
     k = build_swap(w("a1"), w("a2"), 3)
     # drop the first step's pieces: coverage must fail but verification still returns a report
-    kept = [pc for j in (2, 3) for pc in k.pieces_at_step(j)]
-    k.forward_pieces = lambda: kept
+    tamper(monkeypatch, 1, lambda element, tiles: (element, ()))
     report = verify_swap(k)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
@@ -417,16 +423,32 @@ def test_verify_reads_the_forward_table_once(monkeypatch, presentation):
         built.clear()
 
 
-def test_verify_reports_a_piece_moved_by_the_wrong_element(presentation):
+def test_verify_reports_a_piece_moved_by_the_wrong_element(monkeypatch, presentation):
     ones = sphere(presentation, 1)
     k = build_swap(ones[0], ones[-1], 3)
-    pieces = k.forward_pieces()
-    first = pieces[0]
-    # step 2's element moves the step-1 domain one corridor letter past the kept image
-    pieces[0] = fullgroup.Piece(first.domain, k.step_element(2), first.image)
-    k.forward_pieces = lambda: pieces
+    # step 2's element moves each step-1 domain one corridor letter past its kept image
+    tamper(monkeypatch, 1, lambda element, tiles: (k.step_element(2), tiles))
     report = verify_swap(k)
     assert [c.name for c in report.checks if not c.ok] == ["pieces_act_by_group_elements"]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_verify_reports_a_domain_ending_in_the_corridor_letter(monkeypatch, presentation, step):
+    # the step's first domain takes the corridor letter in place of its own: it becomes the corridor
+    # left after the step, which holds the later steps' domains, and it leaves its own child bare
+    ones = sphere(presentation, 1)
+    k = build_swap(ones[0], ones[-1], 3)
+    corridor_letter = k._head(0, step).codes[-1]
+
+    def swapped(element, tiles):
+        (dom, img), *rest = tiles
+        return element, ((dom[:-1] + (corridor_letter,), img), *rest)
+
+    tamper(monkeypatch, step, swapped)
+    report = verify_swap(k)
+    failed = [c.name for c in report.checks if not c.ok]
+    later = ["domains_disjoint", "images_disjoint"] if step < 3 else []
+    assert failed == later + ["covers_support", "pieces_act_by_group_elements"]
 
 
 def test_concurrent_apply_extension_is_safe():
@@ -554,8 +576,39 @@ def test_verify_swap_normalises_only_its_two_covers(monkeypatch):
     p = Presentation(4, 0)
     twos = sphere(p, 2)
     k = build_swap(twos[0], twos[-1], 5)
-    calls, normalise = [], cylinders._normalise
-    monkeypatch.setattr(cylinders, "_normalise", lambda q, bases: calls.append(q) or normalise(q, bases))
+    calls, normalise = [], fullgroup._normalise
+    monkeypatch.setattr(fullgroup, "_normalise", lambda q, bases: calls.append(q) or normalise(q, bases))
+    monkeypatch.setattr(cylinders, "_normalise", None)
     report = verify_swap(k)
     assert report.ok and not k.closed and k.step_count == 5
     assert len(calls) == 2
+
+
+def count_objects(monkeypatch, *classes):
+    """A list that records the class name of every object of ``classes`` built from now on."""
+    made = []
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__, name=cls.__name__:
+                            made.append(name) or init(obj, *args))
+    return made
+
+
+def test_verify_swap_builds_a_cylinder_only_to_act(monkeypatch, presentation):
+    # the checks read the code table: no piece is built, and two cylinders per piece,
+    # one each way, only for act_cylinder
+    ones, twos = sphere(presentation, 1), sphere(presentation, 2)
+    closing = next(v for v in twos[1:] if v.last_code == twos[0].last_code)
+    pairs = [(ones[0], ones[-1]), (twos[0], twos[-1]), (twos[0], closing), (ones[0], ones[0])]
+    pieces = [len(build_swap(x, y, 4).forward_pieces()) for x, y in pairs]
+    made = count_objects(monkeypatch, Piece, Cylinder)
+    for (x, y), count in zip(pairs, pieces):
+        assert verify_swap(build_swap(x, y, 4)).ok
+        assert made.count("Piece") == 0 and made.count("Cylinder") <= 2 * count, (str(x), str(y))
+        made.clear()
+
+
+@pytest.mark.parametrize("p", [P30, Presentation(4, 0)], ids=["s3t0", "s4t0"])
+def test_transitivity_builds_no_piece_and_no_cylinder(monkeypatch, p):
+    made = count_objects(monkeypatch, Piece, Cylinder)
+    assert transitivity_check(p, 2)
+    assert made == []

@@ -208,6 +208,15 @@ def test_cylinder_values_match_the_refinement(presentation, k):
             assert {row["value"] for row in listed} == {str(lam)}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 11, -1, -2, -3, -5, -11])
+def test_stage_letter_count_counts_the_stage_words(presentation, k):
+    lam = Fraction(presentation.branching) ** k
+    for ambient in ambients(presentation):
+        witness = find_witness(lam, ambient, presentation)
+        words = [word for stage in witness.stages for word in (*stage.into_shadow, stage.generator, *stage.back_into)]
+        assert witness.stage_letter_count == sum(map(len, words))
+
+
 def test_cylinder_value_needs_a_constant_cocycle():
     mover = Word.parse("a3 a2", P30)
     # a2 a3 cancels all of the mover, a1 none of it: constant on each cylinder, 4 and 1/4
